@@ -414,6 +414,7 @@ bool ConsensusManager::sweep_once() {
             p->consensus_result = ConsensusResult{plan.branch, std::move(result)};
             p->state = RunState::Ready;
             p->pending_wake = false;
+            if (obs_m != nullptr) p->woke_at_ns = obs::now_ns();
           }
           scheduler_.enqueue_ready(p->pid);
         }

@@ -6,9 +6,7 @@ void load_program(Runtime& rt, Program program) {
   for (ProcessDef& def : program.defs) {
     rt.define(std::move(def));
   }
-  for (Tuple& t : program.seeds) {
-    rt.seed(std::move(t));
-  }
+  rt.seed(std::move(program.seeds));
   for (auto& [name, args] : program.spawns) {
     rt.spawn(name, std::move(args));
   }

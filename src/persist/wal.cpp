@@ -130,6 +130,7 @@ WalFrameParse parse_wal_frame(std::string_view data) {
   }
   if (data.size() - 8 < len) {
     out.status = WalFrameStatus::Torn;
+    out.size = 8 + std::size_t{len};
     out.detail = "torn record";
     return out;
   }

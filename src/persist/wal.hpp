@@ -137,7 +137,9 @@ enum class WalFrameStatus {
 };
 struct WalFrameParse {
   WalFrameStatus status = WalFrameStatus::End;
-  std::size_t size = 0;  // frame bytes ([hdr 8][payload]) when status==Ok
+  std::size_t size = 0;  // frame bytes ([hdr 8][payload]) when status==Ok,
+                         // or the size a whole header declares when a
+                         // Torn window holds only part of the payload
   WalCommit commit;      // decoded record when status==Ok
   std::string detail;    // human-readable reason for Torn/Corrupt
 };

@@ -215,8 +215,8 @@ class Process {
   //     the SDL_OBS instruments are armed, 0 = unstamped) ---
   /// When finalize_park made the park effective, obs::now_ns().
   std::uint64_t park_started_ns = 0;
-  /// When a wake / deadline expiry made the process Ready again. Left 0
-  /// by consensus resumes (they go Claimed → Ready, not through wake()).
+  /// When a wake, deadline expiry or consensus resume made the process
+  /// Ready again (0 unless obs is on).
   std::uint64_t woke_at_ns = 0;
   /// Stable copy of park_reason for begin_running's metrics read —
   /// wake() resets park_reason to None before the redispatch.

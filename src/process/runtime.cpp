@@ -280,31 +280,54 @@ CheckReport Runtime::check_history() const {
 }
 
 TupleId Runtime::seed(Tuple t) {
+  std::vector<Tuple> one;
+  one.push_back(std::move(t));
+  return seed(std::move(one)).front();
+}
+
+std::vector<TupleId> Runtime::seed(std::vector<Tuple> tuples) {
   if (repl_follower_ && !repl_follower_->writable()) {
     throw std::logic_error(
         "repl: seed() on an unpromoted follower — replicas take state from "
         "the leader's stream only");
   }
-  TupleId id;
-  const IndexKey key = IndexKey::of(t);
+  std::vector<TupleId> ids;
+  if (tuples.empty()) return ids;
+  ids.reserve(tuples.size());
   engine_->exclusive([&]() -> std::vector<IndexKey> {
-    Tuple wal_copy;
-    if (persist_mgr_) wal_copy = t;
-    id = space_.insert(std::move(t), kEnvironmentProcess);
+    std::vector<IndexKey> touched;
+    std::vector<std::pair<TupleId, Tuple>> wal_asserts;
+    if (persist_mgr_) wal_asserts.reserve(tuples.size());
+    for (Tuple& t : tuples) {
+      // An init block lists a relation's tuples together: dropping
+      // adjacent repeats keeps the key list short, and publish_batch
+      // dedupes whatever is left.
+      const IndexKey key = IndexKey::of(t);
+      if (touched.empty() || touched.back() != key) touched.push_back(key);
+      // With a WAL the dataspace takes a copy and the record keeps `t`.
+      ids.push_back(space_.insert(persist_mgr_ ? Tuple(t) : std::move(t),
+                                  kEnvironmentProcess));
+      if (persist_mgr_) wal_asserts.emplace_back(ids.back(), std::move(t));
+    }
     // Seeds are commits too: without this record a recovered run would
     // silently lose its initial dataspace.
     if (persist_mgr_) {
-      persist_mgr_->log_commit(kEnvironmentProcess, /*fire=*/0, {},
-                               {{id, std::move(wal_copy)}});
+      persist_mgr_->log_commit(kEnvironmentProcess, /*fire=*/0, {}, wal_asserts);
     }
-    return {key};
+    return touched;
   });
-  if (history_ && history_->enabled()) history_->record_seed(id);
-  if (trace_.enabled()) trace_.record(TraceKind::SeedTuple, 0, "");
+  if (history_ && history_->enabled()) {
+    for (const TupleId id : ids) history_->record_seed(id);
+  }
+  if (trace_.enabled()) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      trace_.record(TraceKind::SeedTuple, 0, "");
+    }
+  }
   // Seeds count toward the snapshot interval like any other commit, but
   // bypass the engine's post-commit hook — check here.
   if (persist_mgr_ && persist_mgr_->snapshot_due()) snapshot();
-  return id;
+  return ids;
 }
 
 bool Runtime::snapshot() {

@@ -74,8 +74,13 @@ class Runtime {
   /// Registers a process definition; finalizes it if needed.
   const ProcessDef& define(ProcessDef def) { return scheduler_->define(std::move(def)); }
 
-  /// Asserts a tuple as the environment (process id 0) — atomically, with
-  /// wakeups, so seeding may also happen between run() calls.
+  /// Asserts `tuples` as the environment (process id 0) in ONE commit: one
+  /// exclusive section inserts them all, one WAL record logs them (so
+  /// recovery restores the whole batch or none of it), one publish wakes
+  /// any waiters. Seeding may also happen between run() calls. Returns the
+  /// new ids in input order. Throws on an unpromoted follower.
+  std::vector<TupleId> seed(std::vector<Tuple> tuples);
+  /// A one-tuple batch.
   TupleId seed(Tuple t);
 
   /// Creates a process; it runs at the next run().

@@ -22,6 +22,23 @@ namespace {
 
 constexpr std::size_t kReadChunk = 256 * 1024;
 
+// Appends up to `len` bytes of `fd`, read from `base + buf->size()`, to
+// `buf`; returns how many arrived (fewer only at the end of the file).
+std::size_t read_more(int fd, std::uint64_t base, std::size_t len,
+                      std::string* buf) {
+  const std::size_t start = buf->size();
+  buf->resize(start + len);
+  std::size_t got = 0;
+  while (got < len) {
+    const ssize_t n = ::pread(fd, buf->data() + start + got, len - got,
+                              static_cast<off_t>(base + start + got));
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  buf->resize(start + got);
+  return got;
+}
+
 struct SegmentRef {
   std::uint64_t start = 0;
   std::string path;
@@ -340,12 +357,7 @@ void ReplLeader::session_main(Session* s) {
     // Read the live tail and assemble one batch of raw frames.
     buf.clear();
     while (buf.size() < opts_.max_batch_bytes + kReadChunk) {
-      const std::size_t have = buf.size();
-      buf.resize(have + kReadChunk);
-      const ssize_t n = ::pread(fd, buf.data() + have, kReadChunk,
-                                file_off + have);
-      buf.resize(have + (n > 0 ? static_cast<std::size_t>(n) : 0));
-      if (n <= 0 || static_cast<std::size_t>(n) < kReadChunk) break;
+      if (read_more(fd, file_off, kReadChunk, &buf) < kReadChunk) break;
     }
 
     std::string frames;
@@ -354,9 +366,19 @@ void ReplLeader::session_main(Session* s) {
     std::size_t consumed = 0;
     bool clean_end = false;
     bool corrupt = false;
+    bool fetched_whole = false;
     while (consumed < buf.size()) {
       persist::WalFrameParse p =
           persist::parse_wal_frame(std::string_view(buf).substr(consumed));
+      if (p.status == persist::WalFrameStatus::Torn && consumed == 0 &&
+          p.size > buf.size() && !fetched_whole) {
+        // The head frame is larger than the read window: re-reading the
+        // window would find it torn forever. Fetch it whole (the parse
+        // bounds its declared size) and ship it as a batch of one.
+        fetched_whole = true;
+        read_more(fd, file_off, p.size - buf.size(), &buf);
+        continue;
+      }
       if (p.status == persist::WalFrameStatus::Ok) {
         if (p.commit.seq > shippable) break;  // durable gate: never ship past
         if (p.commit.seq >= next) {

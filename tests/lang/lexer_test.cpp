@@ -69,6 +69,40 @@ TEST(LexerTest, LineAndColumnTracking) {
   EXPECT_EQ(toks[1].column, 3);
 }
 
+TEST(LexerTest, ColumnsAdvancePastWordsAndNumbers) {
+  const auto toks = lex("abc 12.5 x_1 7\n  end9 0042");
+  ASSERT_EQ(toks.size(), 7u);
+  EXPECT_EQ(toks[0].column, 1);
+  EXPECT_EQ(toks[1].column, 5);
+  EXPECT_EQ(toks[2].column, 10);
+  EXPECT_EQ(toks[2].text, "x_1");
+  EXPECT_EQ(toks[3].column, 14);
+  EXPECT_EQ(toks[4].kind, Tok::Ident) << "a keyword prefix is not a keyword";
+  EXPECT_EQ(toks[4].text, "end9");
+  EXPECT_EQ(toks[4].line, 2);
+  EXPECT_EQ(toks[4].column, 3);
+  EXPECT_EQ(toks[5].int_value, 42);
+  EXPECT_EQ(toks[5].column, 8);
+  EXPECT_EQ(toks[6].kind, Tok::End);
+  EXPECT_EQ(toks[6].column, 12);
+}
+
+TEST(LexerTest, IntegerLimits) {
+  EXPECT_EQ(lex("9223372036854775807")[0].int_value, INT64_MAX);
+  try {
+    lex("x\n  9223372036854775808");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "numeric literal out of range at line 2, column 3");
+  }
+  try {
+    lex("1" + std::string(400, '0') + ".5");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "numeric literal out of range at line 1, column 1");
+  }
+}
+
 TEST(LexerTest, UnterminatedStringThrows) {
   EXPECT_THROW(lex("\"oops"), ParseError);
 }

@@ -200,6 +200,52 @@ TEST_F(RecoveryTest, TornWalTailLosesOnlyTheUnacknowledgedCommit) {
       << "exactly the one acknowledged consume survives";
 }
 
+// A bulk seed is one WAL record: cut the log at EVERY byte offset and
+// recovery yields the whole init block or none of it, never a part.
+TEST_F(RecoveryTest, TornBulkSeedRecoversAllOrNothing) {
+  constexpr int kBlock = 12;
+  std::string seg;
+  {
+    Runtime rt(opts());
+    rt.seed(tup("before", 0));
+    std::vector<Tuple> block;
+    for (int k = 0; k < kBlock; ++k) block.push_back(tup("seed", k));
+    rt.seed(std::move(block));
+    rt.seed(tup("after", 0));
+  }
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path().extension() == ".wal") seg = e.path().string();
+  }
+  ASSERT_FALSE(seg.empty());
+  std::string whole;
+  {
+    std::ifstream in(seg, std::ios::binary);
+    whole.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  const std::string cut_dir = dir + "_cut";
+  std::size_t saw_none = 0;
+  std::size_t saw_all = 0;
+  for (std::size_t cut = 0; cut <= whole.size(); ++cut) {
+    fs::remove_all(cut_dir);
+    fs::create_directories(cut_dir);
+    std::ofstream(cut_dir + "/" + fs::path(seg).filename().string(),
+                  std::ios::binary)
+        << whole.substr(0, cut);
+    const persist::RecoveredState state = persist::replay(cut_dir);
+    std::size_t seeded = 0;
+    for (const auto& [id, t] : state.live) {
+      if (t.arity() == 2 && t[0] == Value::atom("seed")) ++seeded;
+    }
+    ASSERT_TRUE(seeded == 0 || seeded == static_cast<std::size_t>(kBlock))
+        << "offset " << cut << " recovered " << seeded << " of the block";
+    (seeded == 0 ? saw_none : saw_all) += 1;
+  }
+  fs::remove_all(cut_dir);
+  EXPECT_GT(saw_none, 0u);
+  EXPECT_GT(saw_all, 0u);
+}
+
 TEST_F(RecoveryTest, CrashedSnapshotFallsBackToOlderChain) {
   std::vector<Record> before;
   {

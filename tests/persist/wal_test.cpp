@@ -263,13 +263,22 @@ TEST_F(WalTest, HeaderStampsOriginNode) {
 // For EVERY byte offset of a valid multi-record segment, the truncated
 // file must parse without crashing, yield commits that are exactly a
 // prefix of the original sequence, and report a valid_bytes boundary no
-// larger than the truncation point.
+// larger than the truncation point. Record 4 is a bulk seed (one record,
+// many asserts): every cut yields all of its tuples or none.
 TEST_F(WalTest, TruncationAtEveryByteOffsetYieldsCleanPrefix) {
   std::string seg;
   {
     WalWriter w(dir, 16, 1, 1);
     seg = w.segment_path();
     for (int i = 0; i < 6; ++i) {
+      if (i == 3) {
+        std::vector<std::pair<TupleId, Tuple>> block;
+        for (int k = 0; k < 8; ++k) {
+          block.emplace_back(TupleId(0, 100u + k), tup("seed", k));
+        }
+        w.append(0, 0, {}, block);
+        continue;
+      }
       w.append(static_cast<ProcessId>(i + 1), i % 2 == 0 ? 0u : 5u,
                i > 0 ? std::vector<TupleId>{TupleId(i, 40u + i)}
                      : std::vector<TupleId>{},
@@ -279,6 +288,7 @@ TEST_F(WalTest, TruncationAtEveryByteOffsetYieldsCleanPrefix) {
   const std::string whole = slurp(seg);
   const WalReadResult full = read_wal_segment(seg);
   ASSERT_EQ(full.commits.size(), 6u);
+  ASSERT_EQ(full.commits[3].asserts.size(), 8u);
   ASSERT_FALSE(full.corrupt);
 
   const std::string torn = dir + "/torn.bin";
@@ -303,7 +313,9 @@ TEST_F(WalTest, TruncationAtEveryByteOffsetYieldsCleanPrefix) {
     } else if (r.header_ok) {
       // A cut exactly at a frame boundary (including right after the
       // header) parses clean but short; any other cut must be flagged.
-      if (r.valid_bytes != cut) ASSERT_TRUE(r.corrupt) << "offset " << cut;
+      if (r.valid_bytes != cut) {
+        ASSERT_TRUE(r.corrupt) << "offset " << cut;
+      }
     }
   }
 }

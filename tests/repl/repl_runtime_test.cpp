@@ -312,6 +312,53 @@ TEST_F(ReplRuntimeTest, ReconnectResumesFromWatermark) {
   EXPECT_EQ(follower.repl_follower()->stats().reconnects, 1u);
 }
 
+// A WAL frame larger than the streamer's read window (max_batch_bytes plus
+// one read chunk, 512 KiB by default) must still ship, as a batch of one,
+// instead of parsing as a torn tail forever.
+TEST_F(ReplRuntimeTest, FrameLargerThanTheReadWindowShips) {
+  Runtime leader(leader_opts(/*fsync_every=*/8));
+  Runtime follower(follower_opts(/*with_persist=*/false));
+  connect(leader, follower);
+
+  leader.seed(tup("job", 0));
+  leader.seed(tup("blob", std::string(std::size_t{1} << 20, 'x')));
+  leader.seed(tup("job", 1));
+  leader.persist()->sync();
+  ASSERT_TRUE(wait_until([&] { return converged(leader, follower); }, 10000))
+      << "follower stuck at applied seq "
+      << follower.repl_follower()->applied_seq();
+  EXPECT_EQ(follower.repl_follower()->applied_seq(), 3u);
+  expect_same_state(leader, follower);
+  EXPECT_EQ(follower.repl_follower()->stats().missing_retracts, 0u);
+}
+
+// A 50,000-tuple init block is one WAL record of about a megabyte: it
+// streams like any other frame, and the leader's history stays clean.
+TEST_F(ReplRuntimeTest, BulkSeedOfFiftyThousandTuplesDrains) {
+  Runtime leader(leader_opts(/*fsync_every=*/8));
+  Runtime follower(follower_opts(/*with_persist=*/false));
+  connect(leader, follower);
+  leader.enable_history();
+
+  std::vector<Tuple> block;
+  block.reserve(50000);
+  for (int i = 0; i < 50000; ++i) block.push_back(tup("job", i));
+  leader.seed(std::move(block));
+  EXPECT_EQ(leader.persist()->stats().logged_commits, 1u);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(leader.execute(consume_job(), env).success);
+  }
+  leader.persist()->sync();
+  ASSERT_TRUE(wait_until([&] { return converged(leader, follower); }, 10000))
+      << "follower stuck at applied seq "
+      << follower.repl_follower()->applied_seq();
+  EXPECT_EQ(follower.repl_follower()->applied_seq(), 6u);
+  expect_same_state(leader, follower);
+  EXPECT_EQ(follower.repl_follower()->stats().missing_retracts, 0u);
+  const CheckReport check = leader.check_history();
+  EXPECT_TRUE(check.ok()) << check.to_string();
+}
+
 TEST_F(ReplRuntimeTest, TcpTransportStreamsEndToEnd) {
   // Leader listens on a kernel-assigned port... which we cannot know ahead
   // of RuntimeOptions. Bind a listener manually instead and bridge it.
