@@ -1,6 +1,5 @@
 #include "lang/lexer.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <string_view>
 #include <unordered_map>
@@ -24,10 +23,11 @@ const std::unordered_map<std::string_view, Tok>& keywords() {
   return kw;
 }
 
-bool is_digit(char c) { return std::isdigit(static_cast<unsigned char>(c)) != 0; }
-bool is_word(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
+// SDL source is ASCII: plain range checks, not the locale-aware <cctype>
+// calls, which cost a function call per character.
+constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool is_alpha(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'); }
+constexpr bool is_word(char c) { return is_alpha(c) || is_digit(c) || c == '_'; }
 
 }  // namespace
 
@@ -90,183 +90,149 @@ const char* tok_name(Tok t) {
   return "?";
 }
 
-std::vector<Token> lex(const std::string& source) {
-  std::vector<Token> out;
-  // Init blocks, the bulk of large sources, run about 2.6 bytes per
-  // token. The vector lives only until the parser has consumed it.
-  out.reserve(source.size() / 2 + 1);
-  int line = 1;
-  int col = 1;
-  std::size_t i = 0;
-  const std::size_t n = source.size();
+void Lexer::advance() {
+  if (src_[i_] == '\n') {
+    ++line_;
+    col_ = 1;
+  } else {
+    ++col_;
+  }
+  ++i_;
+}
 
-  auto peek = [&](std::size_t off = 0) -> char {
-    return i + off < n ? source[i + off] : '\0';
-  };
-  auto advance = [&] {
-    if (source[i] == '\n') {
-      ++line;
-      col = 1;
-    } else {
-      ++col;
-    }
-    ++i;
-  };
-  // Words and digit runs never span a newline: slice them out of the
-  // source and advance the column by their length.
-  auto take = [&](auto pred) {
-    const std::size_t start = i;
-    while (i < n && pred(source[i])) ++i;
-    col += static_cast<int>(i - start);
-    return std::string_view(source).substr(start, i - start);
-  };
-  auto push = [&](Tok kind, int l, int c) {
-    Token t;
-    t.kind = kind;
-    t.line = l;
-    t.column = c;
-    out.push_back(std::move(t));
-  };
+// Words and digit runs never span a newline: slice them out of the source
+// and advance the column by their length.
+template <typename Pred>
+std::string_view Lexer::take_while(Pred pred) {
+  const std::size_t start = i_;
+  while (i_ < src_.size() && pred(src_[i_])) ++i_;
+  col_ += static_cast<int>(i_ - start);
+  return src_.substr(start, i_ - start);
+}
 
-  while (i < n) {
+void Lexer::next(Token& out) {
+  const std::size_t n = src_.size();
+  while (i_ < n) {
     const char c = peek();
     if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
       advance();
-      continue;
-    }
-    if (c == '#' || (c == '/' && peek(1) == '/')) {
-      while (i < n && peek() != '\n') advance();
-      continue;
-    }
-    const int tl = line;
-    const int tc = col;
-
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      const std::string_view word = take(is_word);
-      auto it = keywords().find(word);
-      if (it != keywords().end()) {
-        push(it->second, tl, tc);
-      } else {
-        Token t;
-        t.kind = Tok::Ident;
-        t.text = word;
-        t.line = tl;
-        t.column = tc;
-        out.push_back(std::move(t));
-      }
-      continue;
-    }
-
-    if (is_digit(c)) {
-      const std::size_t start = i;
-      take(is_digit);
-      const bool is_float = peek() == '.' && is_digit(peek(1));
-      if (is_float) {
-        advance();  // '.'
-        take(is_digit);
-      }
-      const std::string_view num = std::string_view(source).substr(start, i - start);
-      Token t;
-      t.line = tl;
-      t.column = tc;
-      if (is_float) {
-        t.kind = Tok::Float;
-        try {
-          t.float_value = std::stod(std::string(num));
-        } catch (const std::out_of_range&) {
-          throw ParseError("numeric literal out of range", tl, tc);
-        }
-      } else {
-        t.kind = Tok::Int;
-        if (std::from_chars(num.data(), num.data() + num.size(), t.int_value).ec !=
-            std::errc()) {
-          throw ParseError("numeric literal out of range", tl, tc);
-        }
-      }
-      out.push_back(std::move(t));
-      continue;
-    }
-
-    if (c == '"') {
-      advance();
-      std::string s;
-      while (i < n && peek() != '"') {
-        if (peek() == '\\' && i + 1 < n) {
-          advance();
-          switch (peek()) {
-            case 'n': s += '\n'; break;
-            case 't': s += '\t'; break;
-            default: s += peek();
-          }
-          advance();
-        } else {
-          s += peek();
-          advance();
-        }
-      }
-      if (i >= n) throw ParseError("unterminated string literal", tl, tc);
-      advance();  // closing quote
-      Token t;
-      t.kind = Tok::Str;
-      t.text = std::move(s);
-      t.line = tl;
-      t.column = tc;
-      out.push_back(std::move(t));
-      continue;
-    }
-
-    auto two = [&](char second, Tok yes, Tok no) {
-      advance();
-      if (peek() == second) {
-        advance();
-        push(yes, tl, tc);
-      } else {
-        push(no, tl, tc);
-      }
-    };
-
-    switch (c) {
-      case '[': advance(); push(Tok::LBracket, tl, tc); break;
-      case ']': advance(); push(Tok::RBracket, tl, tc); break;
-      case '(': advance(); push(Tok::LParen, tl, tc); break;
-      case ')': advance(); push(Tok::RParen, tl, tc); break;
-      case '{': advance(); push(Tok::LBrace, tl, tc); break;
-      case '}': advance(); push(Tok::RBrace, tl, tc); break;
-      case ',': advance(); push(Tok::Comma, tl, tc); break;
-      case ';': advance(); push(Tok::Semi, tl, tc); break;
-      case ':': advance(); push(Tok::Colon, tl, tc); break;
-      case '^': advance(); push(Tok::Caret, tl, tc); break;
-      case '+': advance(); push(Tok::Plus, tl, tc); break;
-      case '/': advance(); push(Tok::Slash, tl, tc); break;
-      case '%': advance(); push(Tok::Percent, tl, tc); break;
-      case '|': two('|', Tok::PipePipe, Tok::Pipe); break;
-      case '!': two('=', Tok::Ne, Tok::Bang); break;
-      case '*': two('*', Tok::StarStar, Tok::Star); break;
-      case '<': two('=', Tok::Le, Tok::Lt); break;
-      case '>': two('=', Tok::Ge, Tok::Gt); break;
-      case '-':
-        advance();
-        if (peek() == '>') {
-          advance();
-          push(Tok::Arrow, tl, tc);
-        } else {
-          push(Tok::Minus, tl, tc);
-        }
-        break;
-      case '=':
-        advance();
-        if (peek() == '>') {
-          advance();
-          push(Tok::FatArrow, tl, tc);
-        } else {
-          push(Tok::Eq, tl, tc);
-        }
-        break;
-      default:
-        throw ParseError(std::string("unexpected character '") + c + "'", tl, tc);
+    } else if (c == '#' || (c == '/' && peek(1) == '/')) {
+      while (i_ < n && peek() != '\n') advance();
+    } else {
+      break;
     }
   }
-  push(Tok::End, line, col);
+  out.text.clear();
+  out.int_value = 0;
+  out.float_value = 0;
+  out.line = line_;
+  out.column = col_;
+  if (i_ >= n) {
+    out.kind = Tok::End;
+    return;
+  }
+  const char c = peek();
+
+  if (is_alpha(c) || c == '_') {
+    const std::string_view word = take_while(is_word);
+    auto it = keywords().find(word);
+    if (it != keywords().end()) {
+      out.kind = it->second;
+    } else {
+      out.kind = Tok::Ident;
+      out.text = word;
+    }
+    return;
+  }
+
+  if (is_digit(c)) {
+    const std::size_t start = i_;
+    take_while(is_digit);
+    const bool is_float = peek() == '.' && is_digit(peek(1));
+    if (is_float) {
+      advance();  // '.'
+      take_while(is_digit);
+    }
+    const std::string_view num = src_.substr(start, i_ - start);
+    if (is_float) {
+      out.kind = Tok::Float;
+      try {
+        out.float_value = std::stod(std::string(num));
+      } catch (const std::out_of_range&) {
+        throw ParseError("numeric literal out of range", out.line, out.column);
+      }
+    } else {
+      out.kind = Tok::Int;
+      if (std::from_chars(num.data(), num.data() + num.size(), out.int_value).ec !=
+          std::errc()) {
+        throw ParseError("numeric literal out of range", out.line, out.column);
+      }
+    }
+    return;
+  }
+
+  if (c == '"') {
+    advance();
+    while (i_ < n && peek() != '"') {
+      if (peek() == '\\' && i_ + 1 < n) {
+        advance();
+        switch (peek()) {
+          case 'n': out.text += '\n'; break;
+          case 't': out.text += '\t'; break;
+          default: out.text += peek();
+        }
+        advance();
+      } else {
+        out.text += peek();
+        advance();
+      }
+    }
+    if (i_ >= n) throw ParseError("unterminated string literal", out.line, out.column);
+    advance();  // closing quote
+    out.kind = Tok::Str;
+    return;
+  }
+
+  // Punctuation: one character, or two when `second` follows `c`.
+  advance();
+  auto two = [&](char second, Tok yes, Tok no) {
+    if (peek() != second) return no;
+    advance();
+    return yes;
+  };
+  switch (c) {
+    case '[': out.kind = Tok::LBracket; break;
+    case ']': out.kind = Tok::RBracket; break;
+    case '(': out.kind = Tok::LParen; break;
+    case ')': out.kind = Tok::RParen; break;
+    case '{': out.kind = Tok::LBrace; break;
+    case '}': out.kind = Tok::RBrace; break;
+    case ',': out.kind = Tok::Comma; break;
+    case ';': out.kind = Tok::Semi; break;
+    case ':': out.kind = Tok::Colon; break;
+    case '^': out.kind = Tok::Caret; break;
+    case '+': out.kind = Tok::Plus; break;
+    case '/': out.kind = Tok::Slash; break;
+    case '%': out.kind = Tok::Percent; break;
+    case '|': out.kind = two('|', Tok::PipePipe, Tok::Pipe); break;
+    case '!': out.kind = two('=', Tok::Ne, Tok::Bang); break;
+    case '*': out.kind = two('*', Tok::StarStar, Tok::Star); break;
+    case '<': out.kind = two('=', Tok::Le, Tok::Lt); break;
+    case '>': out.kind = two('=', Tok::Ge, Tok::Gt); break;
+    case '-': out.kind = two('>', Tok::Arrow, Tok::Minus); break;
+    case '=': out.kind = two('>', Tok::FatArrow, Tok::Eq); break;
+    default:
+      throw ParseError(std::string("unexpected character '") + c + "'", out.line,
+                       out.column);
+  }
+}
+
+std::vector<Token> lex(const std::string& source) {
+  Lexer lexer(source);
+  std::vector<Token> out;
+  do {
+    lexer.next(out.emplace_back());
+  } while (out.back().kind != Tok::End);
   return out;
 }
 

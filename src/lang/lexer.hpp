@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sdl::lang {
@@ -64,8 +65,34 @@ class ParseError : public std::runtime_error {
   int column_;
 };
 
-/// Tokenizes `source`. '#' and '//' start line comments. Throws
-/// ParseError on bad input. Always ends with a Tok::End token.
+/// The tokenizer as a cursor over `source`: each next() scans exactly one
+/// token, so the parser pulls tokens on demand and no token vector is
+/// built. '#' and '//' start line comments. Throws ParseError on bad
+/// input; once the source is exhausted every call yields Tok::End. The
+/// source must outlive the lexer.
+class Lexer {
+ public:
+  explicit Lexer(std::string_view source) : src_(source) {}
+
+  /// Scans the next token into `out`, reusing its string buffer.
+  void next(Token& out);
+
+ private:
+  char peek(std::size_t off = 0) const {
+    return i_ + off < src_.size() ? src_[i_ + off] : '\0';
+  }
+  void advance();
+  template <typename Pred>
+  std::string_view take_while(Pred pred);
+
+  std::string_view src_;
+  std::size_t i_ = 0;
+  int line_ = 1;
+  int col_ = 1;
+};
+
+/// Tokenizes all of `source` with a Lexer. Throws ParseError on bad input.
+/// Always ends with a Tok::End token.
 std::vector<Token> lex(const std::string& source);
 
 /// Token kind name for diagnostics.

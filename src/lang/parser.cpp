@@ -1,5 +1,6 @@
 #include "lang/parser.hpp"
 
+#include <array>
 #include <fstream>
 #include <sstream>
 #include <unordered_set>
@@ -9,7 +10,7 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : toks_(std::move(tokens)) {}
+  explicit Parser(std::string_view source) : lexer_(source) { pull(); }
 
   Transaction parse_single_txn(std::set<std::string>& scope) {
     scope_.insert(scope.begin(), scope.end());
@@ -36,18 +37,35 @@ class Parser {
   }
 
  private:
-  std::vector<Token> toks_;
-  std::size_t pos_ = 0;
+  Lexer lexer_;
+  // Tokens pulled so far, in a ring: the current token (always lexed),
+  // at most one token of lookahead (at(kind, 1) is the deepest the grammar
+  // looks), and the token take() last returned.
+  std::array<Token, 3> ring_;
+  std::size_t head_ = 0;      // slot of the current token
+  std::size_t buffered_ = 0;  // lexed, untaken tokens: 1 or 2
   std::unordered_set<std::string> scope_;  // declared variable names
 
   // ---- token plumbing ----
-  const Token& peek(std::size_t off = 0) const {
-    const std::size_t i = pos_ + off;
-    return i < toks_.size() ? toks_[i] : toks_.back();
+  void pull() {
+    lexer_.next(ring_[(head_ + buffered_) % ring_.size()]);
+    ++buffered_;
   }
-  bool at(Tok kind, std::size_t off = 0) const { return peek(off).kind == kind; }
-  Token take() { return toks_[pos_ < toks_.size() - 1 ? pos_++ : pos_]; }
-  Token expect(Tok kind, const char* what) {
+  const Token& peek(std::size_t off = 0) {
+    if (off >= buffered_) pull();
+    return ring_[(head_ + off) % ring_.size()];
+  }
+  bool at(Tok kind, std::size_t off = 0) { return peek(off).kind == kind; }
+  // The returned token stays valid until the next take(). End is sticky.
+  const Token& take() {
+    const Token& t = ring_[head_];
+    if (t.kind != Tok::End) {
+      head_ = (head_ + 1) % ring_.size();
+      if (--buffered_ == 0) pull();
+    }
+    return t;
+  }
+  const Token& expect(Tok kind, const char* what) {
     if (!at(kind)) {
       fail(std::string("expected ") + what + ", found " + tok_name(peek().kind));
     }
@@ -60,8 +78,11 @@ class Parser {
     }
     return false;
   }
+  // Positioned at the current token, which is always lexed already, so
+  // reporting a parse error never scans further into the source.
   [[noreturn]] void fail(const std::string& msg) const {
-    throw ParseError(msg, peek().line, peek().column);
+    const Token& t = ring_[head_];
+    throw ParseError(msg, t.line, t.column);
   }
 
   bool declared(const std::string& name) const { return scope_.count(name) > 0; }
@@ -85,7 +106,7 @@ class Parser {
     std::vector<Value> args;
     if (!at(Tok::RParen)) {
       do {
-        args.push_back(eval_const(parse_expr()));
+        args.push_back(parse_const());
       } while (accept(Tok::Comma));
     }
     expect(Tok::RParen, "')'");
@@ -96,13 +117,37 @@ class Parser {
   Tuple parse_const_tuple() {
     expect(Tok::LBracket, "'['");
     std::vector<Value> fields;
+    fields.reserve(3);  // init tuples are mostly pairs and triples
     if (!at(Tok::RBracket)) {
       do {
-        fields.push_back(eval_const(parse_expr()));
+        fields.push_back(parse_const());
       } while (accept(Tok::Comma));
     }
     expect(Tok::RBracket, "']'");
     return Tuple(std::move(fields));
+  }
+
+  // One constant field of an init tuple or top-level spawn. A lone literal
+  // or atom followed by ',', ']' or ')' is read straight to its Value;
+  // anything else is parsed as an expression and folded by eval_const,
+  // which gives the same values and the same errors.
+  Value parse_const() {
+    const Token& t = peek();
+    const bool lone = at(Tok::Comma, 1) || at(Tok::RBracket, 1) || at(Tok::RParen, 1);
+    if (lone) {
+      switch (t.kind) {
+        case Tok::Int: return Value(take().int_value);
+        case Tok::Float: return Value(take().float_value);
+        case Tok::Str: return Value(std::string(take().text));
+        case Tok::KwTrue: take(); return Value(true);
+        case Tok::KwFalse: take(); return Value(false);
+        case Tok::Ident:
+          if (!declared(t.text)) return Value::atom(take().text);
+          break;
+        default: break;
+      }
+    }
+    return eval_const(parse_expr());
   }
 
   Value eval_const(const ExprPtr& e) {
@@ -155,21 +200,20 @@ class Parser {
   ViewEntry parse_view_entry() {
     // [ vars ":" ] pattern [ "where" expr ]
     if (at(Tok::Ident)) {
-      // Variable declaration list before ':'.
-      std::size_t save = pos_;
+      // Variable declaration list before ':'. Without the ':' the entry
+      // is malformed, since a pattern starts with '['.
+      const int line = peek().line;
+      const int column = peek().column;
       std::vector<std::string> vars;
-      bool ok = true;
       while (at(Tok::Ident)) {
         vars.push_back(take().text);
-        if (accept(Tok::Comma)) continue;
-        break;
+        if (!accept(Tok::Comma)) break;
       }
-      if (accept(Tok::Colon)) {
-        for (const std::string& v : vars) scope_.insert(v);
-      } else {
-        ok = false;
+      if (!accept(Tok::Colon)) {
+        throw ParseError(std::string("expected '[', found ") + tok_name(Tok::Ident),
+                         line, column);
       }
-      if (!ok) pos_ = save;
+      for (const std::string& v : vars) scope_.insert(v);
     }
     ViewEntry entry;
     entry.pattern = parse_pattern();
@@ -293,7 +337,7 @@ class Parser {
     return txn;
   }
 
-  bool action_ahead() const {
+  bool action_ahead() {
     return at(Tok::LBracket) || at(Tok::KwLet) || at(Tok::KwSpawn) ||
            at(Tok::KwExit) || at(Tok::KwAbort) || at(Tok::KwSkip);
   }
@@ -470,13 +514,13 @@ class Parser {
 }  // namespace
 
 Program parse_program(const std::string& source) {
-  Parser parser(lex(source));
+  Parser parser(source);
   return parser.parse();
 }
 
 Transaction parse_transaction(const std::string& source,
                               std::set<std::string>& scope) {
-  Parser parser(lex(source));
+  Parser parser(source);
   return parser.parse_single_txn(scope);
 }
 

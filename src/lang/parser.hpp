@@ -1,5 +1,16 @@
-// Parser for SDL source programs. Single pass: parses directly into the
-// runtime's ProcessDef / Statement / Transaction structures.
+// Parser for SDL source programs. One pass from source text to Program:
+// the parser pulls tokens from a Lexer cursor on demand (no token vector)
+// and never looks more than one token past the current one, so a
+// three-slot ring holds every token in flight. It builds the runtime's
+// ProcessDef / Statement / Transaction structures directly. Constant
+// fields of `init` tuples and top-level `spawn` arguments that are a lone
+// literal or atom become Values without an expression tree; any other
+// constant is parsed as an expression and folded.
+//
+// Errors: the first error the pass meets is reported. The lexer has
+// scanned at most one token past the token being parsed, so a syntax error
+// wins over a lexical error further on, unless that lexical error is in
+// the one token the parser peeked at to find the syntax error.
 //
 // Grammar (EBNF, see examples/sdl/*.sdl for concrete programs):
 //

@@ -115,19 +115,19 @@ void Runtime::register_gauges() {
   // cover all runtimes in the process; in the common one-runtime-per-
   // process deployment that distinction is invisible.
   metrics_registry_.gauge("sdl_plan_cache_hits_total", [] {
-    return plan_cache_stats().hits.load(std::memory_order_relaxed);
+    return plan_cache_stats().hits.load();
   });
   metrics_registry_.gauge("sdl_plan_cache_misses_total", [] {
-    return plan_cache_stats().misses.load(std::memory_order_relaxed);
+    return plan_cache_stats().misses.load();
   });
   metrics_registry_.gauge("sdl_plan_cache_compiles_total", [] {
-    return plan_cache_stats().compiles.load(std::memory_order_relaxed);
+    return plan_cache_stats().compiles.load();
   });
   metrics_registry_.gauge("sdl_plan_cache_invalidations_total", [] {
-    return plan_cache_stats().invalidations.load(std::memory_order_relaxed);
+    return plan_cache_stats().invalidations.load();
   });
   metrics_registry_.gauge("sdl_plan_cache_bailouts_total", [] {
-    return plan_cache_stats().bailouts.load(std::memory_order_relaxed);
+    return plan_cache_stats().bailouts.load();
   });
   if (overload_) {
     control::OverloadControl* const c = overload_.get();

@@ -405,7 +405,7 @@ std::shared_ptr<const MatchProgram> PlanCache::acquire(
     std::size_t seed_idx) {
   PlanCacheStats& stats = plan_cache_stats();
   if (!compilable_) {
-    stats.bailouts.fetch_add(1, std::memory_order_relaxed);
+    stats.bailouts.add();
     return nullptr;
   }
   std::uint64_t sig = 0;
@@ -424,14 +424,14 @@ std::shared_ptr<const MatchProgram> PlanCache::acquire(
       // Index statistics drifted (bucket table resized) since this plan
       // was built — drop it and recompile below.
       entries_.erase(it);
-      stats.invalidations.fetch_add(1, std::memory_order_relaxed);
+      stats.invalidations.add();
       break;
     }
-    stats.hits.fetch_add(1, std::memory_order_relaxed);
+    stats.hits.add();
     return *it;
   }
-  stats.misses.fetch_add(1, std::memory_order_relaxed);
-  stats.compiles.fetch_add(1, std::memory_order_relaxed);
+  stats.misses.add();
+  stats.compiles.add();
   auto prog = compile_program(q, sig, sig_slots_, stats_epoch, seed_idx);
   if (entries_.size() >= 16) entries_.erase(entries_.begin());
   entries_.push_back(prog);

@@ -23,12 +23,12 @@
 // (plan_cache_stats().bailouts) — semantics never change, only speed.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "core/striped_counter.hpp"
 #include "query/query.hpp"
 #include "query/vm.hpp"
 
@@ -101,13 +101,14 @@ struct MatchProgram {
 
 /// Cumulative plan-cache counters, exported as sdl_plan_cache_* gauges by
 /// Runtime::register_gauges. Process-global: the cache itself is
-/// per-query, but operators want one set of dials.
+/// per-query, but operators want one set of dials. Striped, because every
+/// evaluation counts a hit or a bailout from whatever thread runs it.
 struct PlanCacheStats {
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> misses{0};
-  std::atomic<std::uint64_t> compiles{0};
-  std::atomic<std::uint64_t> invalidations{0};  // entries dropped on epoch drift
-  std::atomic<std::uint64_t> bailouts{0};       // evaluations interpreted instead
+  StripedCounter hits;
+  StripedCounter misses;
+  StripedCounter compiles;
+  StripedCounter invalidations;  // entries dropped on epoch drift
+  StripedCounter bailouts;       // evaluations interpreted instead
 };
 PlanCacheStats& plan_cache_stats();
 

@@ -34,16 +34,16 @@ TEST(ValueTest, NumericCompareAtomsLexicographic) {
 }
 
 TEST(ValueTest, NumericCompareAcrossKindsThrows) {
-  EXPECT_THROW(Value::numeric_compare(Value(1), Value::atom("one")),
+  EXPECT_THROW((void)Value::numeric_compare(Value(1), Value::atom("one")),
                std::invalid_argument);
-  EXPECT_THROW(Value::numeric_compare(Value(std::string("a")), Value::atom("a")),
+  EXPECT_THROW((void)Value::numeric_compare(Value(std::string("a")), Value::atom("a")),
                std::invalid_argument);
 }
 
 TEST(ValueTest, TruthyOnlyForBool) {
   EXPECT_TRUE(Value(true).truthy());
   EXPECT_FALSE(Value(false).truthy());
-  EXPECT_THROW(Value(1).truthy(), std::invalid_argument);
+  EXPECT_THROW((void)Value(1).truthy(), std::invalid_argument);
 }
 
 TEST(ValueTest, CanonicalOrderIsKindFirst) {
@@ -75,7 +75,7 @@ TEST(ValueTest, HashEqualValuesEqualHashes) {
 TEST(ValueTest, AsNumberWidensInt) {
   EXPECT_DOUBLE_EQ(Value(5).as_number(), 5.0);
   EXPECT_DOUBLE_EQ(Value(5.5).as_number(), 5.5);
-  EXPECT_THROW(Value::atom("x").as_number(), std::invalid_argument);
+  EXPECT_THROW((void)Value::atom("x").as_number(), std::invalid_argument);
 }
 
 }  // namespace

@@ -42,7 +42,9 @@ TEST(HotCopyTest, MidGroupCommitCopyRecoversCheckerCleanPrefix) {
     env.resize(static_cast<std::size_t>(st.size()));
     for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
       rt.seed(tup("job", i));
-      if (i % 2 == 1) ASSERT_TRUE(rt.execute(consume, env).success);
+      if (i % 2 == 1) {
+        ASSERT_TRUE(rt.execute(consume, env).success);
+      }
     }
   });
 
