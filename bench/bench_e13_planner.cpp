@@ -16,15 +16,16 @@
 // largest shape, self-relative so the gate is machine-independent.
 //
 // ISSUE 10 adds the compiled-tier columns: the same query executed
-// through the bytecode match program (use_compiler on, the default) vs
-// the join interpreter (use_compiler off), on a guard-heavy all-reject
-// sweep — the shape where per-candidate expression-tree walking
-// dominates. run_benches.sh --check gates BM_GuardHeavyInterpreted /
-// BM_GuardHeavyCompiled at >= SDL_E13_GATE (2x) on the largest shape,
-// again self-relative.
+// through the bytecode match program (Query::evaluate) vs the test
+// reference evaluator (tests/query/reference_eval.hpp, a tree-walking join
+// interpreter), on a guard-heavy all-reject sweep — the shape where
+// per-candidate expression-tree walking dominates. run_benches.sh --check
+// gates BM_GuardHeavyInterpreted / BM_GuardHeavyCompiled at
+// >= SDL_E13_GATE (2x) on the largest shape, again self-relative.
 #include <benchmark/benchmark.h>
 
 #include "query/incremental.hpp"
+#include "query/reference_eval.hpp"
 #include "workloads.hpp"
 
 namespace {
@@ -153,24 +154,23 @@ BENCHMARK(BM_WakeupIncrementalSeeded)->RangeMultiplier(4)->Range(64, 16384)->Uni
 /// residue is 0..4 for numeric v), so every evaluation walks the whole
 /// window and pays the guard on every candidate. The bucket is
 /// heterogeneous, half numeric and half atom payloads — the realistic
-/// worst case the tentpole targets: on atom candidates the interpreter
-/// uses a C++ throw/catch round-trip (std::invalid_argument out of
-/// arith, caught by guard_true) as its reject path, while the compiled
-/// tier returns a Trap code from the same flat bytecode pass. Numeric
-/// candidates isolate plain per-candidate expression cost: shared_ptr
-/// tree re-walk vs pre-resolved bytecode.
+/// worst case: on atom candidates the reference evaluator uses a C++
+/// throw/catch round-trip (std::invalid_argument out of arith, caught by
+/// its guard check) as its reject path, while the compiled tier returns a
+/// Trap code from the same flat bytecode pass. Numeric candidates isolate
+/// plain per-candidate expression cost: shared_ptr tree re-walk vs
+/// pre-resolved bytecode.
 struct GuardHeavySetup {
   Dataspace space{64};
   SymbolTable st;
   Query query;
   Env env;
 
-  GuardHeavySetup(std::int64_t size, bool compiled) {
+  explicit GuardHeavySetup(std::int64_t size) {
     for (std::int64_t i = 0; i < size; ++i) {
       space.insert(i % 2 == 0 ? tup("g", i) : tup("g", Value::atom("opaque")),
                    kEnvironmentProcess);
     }
-    query.use_compiler = compiled;
     query.local_vars = {"v"};
     query.patterns = {pat({A("g"), V("v")})};
     query.guard =
@@ -184,17 +184,19 @@ struct GuardHeavySetup {
   }
 };
 
+/// The reference evaluator (the name predates its move out of src/).
 void BM_GuardHeavyInterpreted(benchmark::State& state) {
-  GuardHeavySetup s(state.range(0), /*compiled=*/false);
+  GuardHeavySetup s(state.range(0));
   const DataspaceSource src(s.space);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(s.query.evaluate(src, s.env, nullptr).success);
+    benchmark::DoNotOptimize(
+        reference_evaluate(s.query, src, s.env, nullptr).success);
   }
   state.SetItemsProcessed(state.iterations());
 }
 
 void BM_GuardHeavyCompiled(benchmark::State& state) {
-  GuardHeavySetup s(state.range(0), /*compiled=*/true);
+  GuardHeavySetup s(state.range(0));
   const DataspaceSource src(s.space);
   for (auto _ : state) {
     benchmark::DoNotOptimize(s.query.evaluate(src, s.env, nullptr).success);

@@ -37,7 +37,8 @@
 #     self-relative gates on the largest guard-heavy shape: the
 #     empty-delta wakeup check must be >= SDL_E13_GATE (default 2.0)
 #     times faster than the full probe, and the compiled bytecode tier
-#     must be >= SDL_E13_GATE times faster than the join interpreter.
+#     must be >= SDL_E13_GATE times faster than the test reference
+#     evaluator (tests/query/reference_eval.hpp).
 #   * E5 dataspace primitives vs bench/BENCH_e5_baseline.json — the
 #     zero-regression guard for the delta-capture hooks on the commit
 #     path (tolerance band, both-direction row coverage).
@@ -374,7 +375,7 @@ if bench == "bench_e13_planner":
             print(f"E13 wakeup gate: {speedup:.0f}x over full probe "
                   f"(gate {gate:.1f}x)")
     # Compiled-tier gate (ISSUE 10), same discipline: the bytecode match
-    # program must beat the join interpreter by >= SDL_E13_GATE on the
+    # program must beat the test reference evaluator by >= SDL_E13_GATE on the
     # largest guard-heavy shape. Self-relative, so machine speed cancels.
     interp = cur_rows.get("BM_GuardHeavyInterpreted/16384")
     comp = cur_rows.get("BM_GuardHeavyCompiled/16384")
@@ -385,10 +386,10 @@ if bench == "bench_e13_planner":
         if speedup < gate:
             failures.append(
                 f"E13: compiled guard-heavy evaluation is only "
-                f"{speedup:.1f}x faster than the interpreter at 16384 "
+                f"{speedup:.1f}x faster than the reference evaluator at 16384 "
                 f"(gate {gate:.1f}x)")
         else:
-            print(f"E13 compiler gate: {speedup:.0f}x over interpreter "
+            print(f"E13 compiler gate: {speedup:.0f}x over reference evaluator "
                   f"(gate {gate:.1f}x)")
 
 if bench == "bench_e21_replication":

@@ -1,8 +1,6 @@
 #include "lang/analyze.hpp"
 
 #include <functional>
-
-#include "query/compile.hpp"
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -250,15 +248,6 @@ std::vector<Diagnostic> analyze(const Program& program) {
                          "consensus transaction in a process without an "
                          "import view: its consensus set spans the entire "
                          "society"});
-      }
-
-      // ---- interpreter-only query shapes ----
-      if (!txn.query.patterns.empty() &&
-          !query_shape_compilable(txn.query)) {
-        diags.push_back({Severity::Note, def.name,
-                         "query shape is outside the compiled tier "
-                         "(computed pattern term or too many variables); "
-                         "every evaluation takes the interpreter fallback"});
       }
     });
   }

@@ -38,9 +38,6 @@ struct Diagnostic {
 ///  * consensus transaction in a view-less process — its consensus
 ///    set spans every live process, so it fires only at global
 ///    readiness (often intended, occasionally a surprise)            [note]
-///  * query shape outside the compiled tier (computed pattern terms
-///    or >64 distinct pattern variables) — the transaction always
-///    takes the interpreter fallback                                 [note]
 std::vector<Diagnostic> analyze(const Program& program);
 
 }  // namespace sdl::lang

@@ -126,9 +126,6 @@ void Runtime::register_gauges() {
   metrics_registry_.gauge("sdl_plan_cache_invalidations_total", [] {
     return plan_cache_stats().invalidations.load();
   });
-  metrics_registry_.gauge("sdl_plan_cache_bailouts_total", [] {
-    return plan_cache_stats().bailouts.load();
-  });
   if (overload_) {
     control::OverloadControl* const c = overload_.get();
     metrics_registry_.gauge("sdl_admission_inflight",

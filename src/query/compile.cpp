@@ -10,61 +10,41 @@ PlanCacheStats& plan_cache_stats() {
   return stats;
 }
 
-namespace {
-std::atomic<bool> g_compiler_enabled{true};
-}  // namespace
-
-bool query_compiler_enabled() {
-  return g_compiler_enabled.load(std::memory_order_relaxed);
-}
-void set_query_compiler_enabled(bool on) {
-  g_compiler_enabled.store(on, std::memory_order_relaxed);
-}
-
-// ---- Shape analysis ----
+// ---- Signature slots ----
 
 namespace {
 
-/// A pattern is compilable when every term's match behaviour is a pure
-/// function of slot BOUNDNESS: wildcards, variables, and literal
-/// constants. A computed Expr term (x+1 in a field) is value-dependent —
-/// its try_eval can fail on bound-but-ill-typed values, which would make
-/// the interpreter's planner rank it differently than a static plan.
-bool terms_compilable(const std::vector<TuplePattern>& patterns) {
-  for (const TuplePattern& p : patterns) {
-    for (const Term& t : p.terms()) {
-      if (t.kind == Term::Kind::Expr && t.expr->op() != Expr::Op::Const) {
-        return false;
-      }
-    }
+/// True for a pattern term computed from variables or calls at match time
+/// (a literal Expr term is a compile-time constant).
+bool computed(const Term& t) {
+  return t.kind == Term::Kind::Expr && t.expr->op() != Expr::Op::Const;
+}
+
+void add_slot(std::int32_t slot, std::vector<std::int32_t>& out) {
+  if (slot >= 0 && std::find(out.begin(), out.end(), slot) == out.end()) {
+    out.push_back(slot);
   }
-  return true;
 }
 
-void collect_var_slots(const std::vector<TuplePattern>& patterns,
+/// Appends every variable slot `e` reads.
+void expr_reads(const Expr& e, std::vector<std::int32_t>& out) {  // NOLINT(misc-no-recursion)
+  if (e.op() == Expr::Op::Var) add_slot(e.slot(), out);
+  for (const ExprPtr& c : e.children()) expr_reads(*c, out);
+}
+
+/// Pattern-variable slots plus the slots computed terms read: exactly the
+/// slots whose boundness the planner's readiness and scan choices see.
+void collect_sig_slots(const std::vector<TuplePattern>& patterns,
                        std::vector<std::int32_t>& out) {
   for (const TuplePattern& p : patterns) {
     for (const Term& t : p.terms()) {
-      if (t.kind != Term::Kind::Var || t.slot < 0) continue;
-      if (std::find(out.begin(), out.end(), t.slot) == out.end()) {
-        out.push_back(t.slot);
-      }
+      if (t.kind == Term::Kind::Var) add_slot(t.slot, out);
+      if (computed(t)) expr_reads(*t.expr, out);
     }
   }
 }
 
 }  // namespace
-
-bool query_shape_compilable(const Query& q) {
-  if (!terms_compilable(q.patterns)) return false;
-  for (const NegatedGroup& g : q.negations) {
-    if (!terms_compilable(g.patterns)) return false;
-  }
-  std::vector<std::int32_t> slots;
-  collect_var_slots(q.patterns, slots);
-  for (const NegatedGroup& g : q.negations) collect_var_slots(g.patterns, slots);
-  return slots.size() <= 64;  // signature is one std::uint64_t
-}
 
 // ---- Expression compilation ----
 
@@ -206,23 +186,41 @@ namespace {
 
 using BoundSet = std::unordered_set<std::int32_t>;
 
+/// A term's value is available before its pattern matches: literals and
+/// wildcards trivially, variables when bound, computed terms when every
+/// variable they read is bound.
+bool term_ready(const Term& t, const BoundSet& bound) {
+  switch (t.kind) {
+    case Term::Kind::Wildcard: return true;
+    case Term::Kind::Var: return bound.count(t.slot) != 0;
+    case Term::Kind::Expr: break;
+  }
+  std::vector<std::int32_t> reads;
+  expr_reads(*t.expr, reads);
+  return std::all_of(reads.begin(), reads.end(),
+                      [&](std::int32_t s) { return bound.count(s) != 0; });
+}
+
+/// The planner's readiness: every computed term evaluable under `bound`.
+bool ready_sim(const TuplePattern& p, const BoundSet& bound) {
+  return std::all_of(p.terms().begin(), p.terms().end(), [&](const Term& t) {
+    return t.kind != Term::Kind::Expr || term_ready(t, bound);
+  });
+}
+
 bool exact_sim(const TuplePattern& p, const BoundSet& bound) {
   if (p.terms().empty()) return true;  // key_spec: Exact{0,0}
   const Term& head = p.terms().front();
-  switch (head.kind) {
-    case Term::Kind::Wildcard: return false;
-    case Term::Kind::Var: return bound.count(head.slot) != 0;
-    case Term::Kind::Expr: return true;  // literal (shape-checked)
-  }
-  return false;
+  return head.kind != Term::Kind::Wildcard && term_ready(head, bound);
 }
 
-/// Replays JoinEnumerator::pick_next under static boundness. In the
-/// compilable fragment every pattern is always ready (literal Expr terms
-/// evaluate unconditionally), so the interpreter's rank-2 branch cannot
-/// fire and rank is -1 (seed) / 0 (exact) / 1 (arity) — determined
-/// entirely by `bound`. The early-break conditions are copied verbatim:
-/// they affect which of several rank-0 patterns wins.
+/// Replays the tree-walking planner's pick loop (reference_eval.cpp) under
+/// static boundness: rank -1 for the ready seeded pattern, 0 for a ready
+/// exact probe, 1 for a ready arity sweep, 2 for a pattern that is not
+/// ready (a computed term reads a slot that is still unbound; matching it
+/// can still succeed when its own earlier fields bind those slots, as in
+/// [x, x+1]). The early-break conditions are copied verbatim: they decide
+/// which of several rank-0 patterns wins.
 std::size_t pick_sim(const std::vector<TuplePattern>& patterns,
                      const std::vector<bool>& done, const BoundSet& bound,
                      bool planner, std::size_t seed_idx) {
@@ -237,7 +235,9 @@ std::size_t pick_sim(const std::vector<TuplePattern>& patterns,
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     if (done[i]) continue;
     int rank;
-    if (i == seed_idx) {
+    if (!ready_sim(patterns[i], bound)) {
+      rank = 2;
+    } else if (i == seed_idx) {
       rank = -1;
     } else {
       rank = exact_sim(patterns[i], bound) ? 0 : 1;
@@ -265,46 +265,51 @@ std::vector<StepPlan> compile_join(const std::vector<TuplePattern>& patterns,
     StepPlan sp;
     sp.pattern_idx = idx;
     sp.arity = static_cast<std::uint32_t>(p.arity());
+    if (std::any_of(p.terms().begin(), p.terms().end(), computed)) {
+      sp.exprs.resize(p.arity());
+      for (std::size_t f = 0; f < p.arity(); ++f) {
+        if (computed(p.terms()[f])) compile_expr(p.terms()[f].expr, sp.exprs[f]);
+      }
+    }
 
+    // Scan and secondary probe are classified with the bindings as they
+    // stand BEFORE this pattern matches, per term: a computed head or
+    // field 1 pins the probe only when every slot it reads is bound.
     if (idx == seed_idx) {
       sp.scan = StepPlan::Scan::Seed;
     } else if (p.terms().empty()) {
       sp.scan = StepPlan::Scan::ExactConst;
       sp.key = IndexKey{0, 0};
+    } else if (!exact_sim(p, bound)) {
+      sp.scan = StepPlan::Scan::Arity;
     } else {
       const Term& head = p.terms().front();
-      switch (head.kind) {
-        case Term::Kind::Expr:  // literal
-          sp.scan = StepPlan::Scan::ExactConst;
-          sp.key = IndexKey::of_head(p.arity(), head.expr->constant());
-          break;
-        case Term::Kind::Var:
-          if (bound.count(head.slot) != 0) {
-            sp.scan = StepPlan::Scan::ExactSlot;
-            sp.head_slot = head.slot;
-          } else {
-            sp.scan = StepPlan::Scan::Arity;
-          }
-          break;
-        case Term::Kind::Wildcard:
-          sp.scan = StepPlan::Scan::Arity;
-          break;
+      if (head.kind == Term::Kind::Var) {
+        sp.scan = StepPlan::Scan::ExactSlot;
+        sp.head_slot = head.slot;
+      } else if (computed(head)) {
+        sp.scan = StepPlan::Scan::ExactExpr;
+      } else {
+        sp.scan = StepPlan::Scan::ExactConst;
+        sp.key = IndexKey::of_head(p.arity(), head.expr->constant());
       }
     }
 
-    // Secondary-index probe: only on exact scans (the interpreter consults
-    // second_probe only under KeySpec::Kind::Exact), and classified with
-    // the bindings as they stand BEFORE this pattern matches.
-    if ((sp.scan == StepPlan::Scan::ExactConst ||
-         sp.scan == StepPlan::Scan::ExactSlot) &&
+    // Secondary-index probe: only on exact scans (the tree-walking
+    // evaluator consults second_probe only under KeySpec::Kind::Exact).
+    if (sp.scan != StepPlan::Scan::Seed && sp.scan != StepPlan::Scan::Arity &&
         p.arity() >= 2) {
       const Term& t2 = p.terms()[1];
-      if (t2.kind == Term::Kind::Expr) {  // literal
-        sp.second = StepPlan::Second::Const;
-        sp.second_const = t2.expr->constant();
-      } else if (t2.kind == Term::Kind::Var && bound.count(t2.slot) != 0) {
-        sp.second = StepPlan::Second::Slot;
-        sp.second_slot = t2.slot;
+      if (t2.kind != Term::Kind::Wildcard && term_ready(t2, bound)) {
+        if (t2.kind == Term::Kind::Var) {
+          sp.second = StepPlan::Second::Slot;
+          sp.second_slot = t2.slot;
+        } else if (computed(t2)) {
+          sp.second = StepPlan::Second::Expr;
+        } else {
+          sp.second = StepPlan::Second::Const;
+          sp.second_const = t2.expr->constant();
+        }
       }
     }
 
@@ -317,9 +322,13 @@ std::vector<StepPlan> compile_join(const std::vector<TuplePattern>& patterns,
       switch (t.kind) {
         case Term::Kind::Wildcard:
           continue;  // no op emitted
-        case Term::Kind::Expr:  // literal
-          op.kind = TermOp::Kind::CheckConst;
-          op.want = t.expr->constant();
+        case Term::Kind::Expr:
+          if (computed(t)) {
+            op.kind = TermOp::Kind::CheckExpr;
+          } else {
+            op.kind = TermOp::Kind::CheckConst;
+            op.want = t.expr->constant();
+          }
           break;
         case Term::Kind::Var:
           op.slot = t.slot;
@@ -346,8 +355,16 @@ std::vector<StepPlan> compile_join(const std::vector<TuplePattern>& patterns,
   return steps;
 }
 
+int max_regs(const std::vector<StepPlan>& steps, const vm::ExprProgram& guard) {
+  int n = guard.num_regs;
+  for (const StepPlan& sp : steps) {
+    for (const vm::ExprProgram& e : sp.exprs) n = std::max(n, e.num_regs);
+  }
+  return n;
+}
+
 std::shared_ptr<const MatchProgram> compile_program(
-    const Query& q, std::uint64_t sig,
+    const Query& q, const BindingSignature& sig,
     const std::vector<std::int32_t>& sig_slots, std::uint64_t stats_epoch,
     std::size_t seed_idx) {
   auto prog = std::make_shared<MatchProgram>();
@@ -364,11 +381,11 @@ std::shared_ptr<const MatchProgram> compile_program(
 
   BoundSet bound;
   for (std::size_t i = 0; i < sig_slots.size(); ++i) {
-    if ((sig >> i) & 1u) bound.insert(sig_slots[i]);
+    if (sig.test(i)) bound.insert(sig_slots[i]);
   }
   prog->steps = compile_join(q.patterns, q.use_planner, seed_idx, bound);
   compile_expr(q.guard, prog->guard);
-  prog->num_regs = prog->guard.num_regs;
+  prog->num_regs = max_regs(prog->steps, prog->guard);
 
   // Negations run per complete outer assignment: every outer pattern
   // variable is bound by then, which `bound` now reflects.
@@ -377,7 +394,7 @@ std::shared_ptr<const MatchProgram> compile_program(
     BoundSet nb = bound;
     np.steps = compile_join(g.patterns, q.use_planner, PlanCache::kNoSeed, nb);
     compile_expr(g.guard, np.guard);
-    prog->num_regs = std::max(prog->num_regs, np.guard.num_regs);
+    prog->num_regs = std::max(prog->num_regs, max_regs(np.steps, np.guard));
     prog->negations.push_back(std::move(np));
   }
   return prog;
@@ -388,15 +405,9 @@ std::shared_ptr<const MatchProgram> compile_program(
 // ---- Plan cache ----
 
 PlanCache::PlanCache(const Query& q) {
-  compilable_ = query_shape_compilable(q);
-  if (!compilable_) return;
-  collect_var_slots(q.patterns, sig_slots_);
+  collect_sig_slots(q.patterns, sig_slots_);
   for (const NegatedGroup& g : q.negations) {
-    collect_var_slots(g.patterns, sig_slots_);
-  }
-  if (sig_slots_.size() > 64) {
-    compilable_ = false;
-    sig_slots_.clear();
+    collect_sig_slots(g.patterns, sig_slots_);
   }
 }
 
@@ -404,14 +415,11 @@ std::shared_ptr<const MatchProgram> PlanCache::acquire(
     const Query& q, const Env& env, std::uint64_t stats_epoch,
     std::size_t seed_idx) {
   PlanCacheStats& stats = plan_cache_stats();
-  if (!compilable_) {
-    stats.bailouts.add();
-    return nullptr;
-  }
-  std::uint64_t sig = 0;
+  BindingSignature sig;
+  if (sig_slots_.size() > 64) sig.high.resize((sig_slots_.size() - 1) / 64);
   for (std::size_t i = 0; i < sig_slots_.size(); ++i) {
     const auto slot = static_cast<std::size_t>(sig_slots_[i]);
-    if (slot < env.size() && !env[slot].is_nil()) sig |= std::uint64_t{1} << i;
+    if (slot < env.size() && !env[slot].is_nil()) sig.set(i);
   }
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -442,9 +450,9 @@ std::shared_ptr<const MatchProgram> PlanCache::acquire(
 
 namespace {
 
-/// Per-evaluation machine state. Mirrors JoinEnumerator's bookkeeping:
-/// `undo` is the shared binding log (negation searches splice their own
-/// marks into it), `regs` is the register file every ExprProgram reuses.
+/// Per-evaluation machine state. `undo` is the shared binding log
+/// (negation searches splice their own marks into it), `regs` is the
+/// register file every ExprProgram reuses.
 struct Execution {
   const MatchProgram& prog;
   const TupleSource& source;
@@ -483,6 +491,14 @@ struct Execution {
     return false;
   }
 
+  /// Runs a computed term; false on any trap.
+  bool compute(const vm::ExprProgram& e, Value& out) {
+    vm::EvalResult r = vm::run(e, env, fns, regs);
+    if (r.trap != vm::Trap::None) return false;
+    out = std::move(r.value);
+    return true;
+  }
+
   /// One linear pass over the candidate; on reject, bindings this
   /// candidate made are already undone.
   bool match_candidate(const StepPlan& sp, const Tuple& t) {
@@ -490,25 +506,27 @@ struct Execution {
     const std::size_t mark = undo.size();
     for (const TermOp& op : sp.ops) {
       const Value& field = t[op.field];
+      bool ok = true;
       switch (op.kind) {
-        case TermOp::Kind::Skip:
-          break;
         case TermOp::Kind::CheckConst:
-          if (field != op.want) {
-            undo_to(mark);
-            return false;
-          }
+          ok = field == op.want;
           break;
         case TermOp::Kind::Bind:
           env[static_cast<std::size_t>(op.slot)] = field;
           undo.push_back(op.slot);
           break;
         case TermOp::Kind::Check:
-          if (env[static_cast<std::size_t>(op.slot)] != field) {
-            undo_to(mark);
-            return false;
-          }
+          ok = env[static_cast<std::size_t>(op.slot)] == field;
           break;
+        case TermOp::Kind::CheckExpr: {
+          Value want;
+          ok = compute(sp.exprs[op.field], want) && want == field;
+          break;
+        }
+      }
+      if (!ok) {
+        undo_to(mark);
+        return false;
       }
     }
     return true;
@@ -543,13 +561,17 @@ struct Execution {
         }
         return keep_going;
       case StepPlan::Scan::ExactConst:
-      case StepPlan::Scan::ExactSlot: {
-        const IndexKey key =
-            sp.scan == StepPlan::Scan::ExactConst
-                ? sp.key
-                : IndexKey::of_head(
-                      sp.arity,
-                      env[static_cast<std::size_t>(sp.head_slot)]);
+      case StepPlan::Scan::ExactSlot:
+      case StepPlan::Scan::ExactExpr: {
+        IndexKey key = sp.key;
+        if (sp.scan == StepPlan::Scan::ExactSlot) {
+          key = IndexKey::of_head(sp.arity,
+                                  env[static_cast<std::size_t>(sp.head_slot)]);
+        } else if (sp.scan == StepPlan::Scan::ExactExpr) {
+          Value head;
+          if (!compute(sp.exprs[0], head)) return keep_going;  // no candidates
+          key = IndexKey::of_head(sp.arity, head);
+        }
         switch (sp.second) {
           case StepPlan::Second::None:
             source.scan_key(key, try_record);
@@ -562,6 +584,12 @@ struct Execution {
                 key, env[static_cast<std::size_t>(sp.second_slot)],
                 try_record);
             break;
+          case StepPlan::Second::Expr: {
+            Value second;
+            if (!compute(sp.exprs[1], second)) return keep_going;
+            source.scan_key_second(key, second, try_record);
+            break;
+          }
         }
         return keep_going;
       }
@@ -619,8 +647,8 @@ QueryOutcome vm_execute(const MatchProgram& prog, const TupleSource& source,
       out.matches.push_back(build_match(prog, chosen, env));
       return false;  // first satisfying assignment wins
     });
-    // A stopped enumeration leaves the winning bindings in env, exactly
-    // like the interpreter; a completed one has fully backtracked.
+    // A stopped enumeration leaves the winning bindings in env (action
+    // expressions read them); a completed one has fully backtracked.
     out.success = stopped;
     return out;
   }

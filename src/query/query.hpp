@@ -193,28 +193,23 @@ class Query {
   std::vector<TuplePattern> patterns;
   ExprPtr guard;  // may be null (= true)
   std::vector<NegatedGroup> negations;
-  /// Join planning: when true (default) the evaluator greedily picks, at
-  /// each join depth, an unmatched pattern that is *ready* (every
-  /// embedded expression evaluable under current bindings) with the
-  /// narrowest index probe (exact bucket before arity-wide). This is
-  /// purely an execution-order choice — conjunction is symmetric — but it
-  /// turns e.g. "[*-head], [pinned-head]" from a full scan into a probe,
-  /// and makes patterns with computed fields order-independent for the
-  /// programmer. Disable for the E13 ablation or to get strict
-  /// textual-order evaluation.
+  /// Join planning: when true (default) the compiled join order greedily
+  /// picks, at each depth, an unmatched pattern that is *ready* (every
+  /// variable its computed fields read is bound) with the narrowest index
+  /// probe (exact bucket before arity-wide). This is purely an
+  /// execution-order choice — conjunction is symmetric — but it turns e.g.
+  /// "[*-head], [pinned-head]" from a full scan into a probe, and makes
+  /// patterns with computed fields order-independent for the programmer.
+  /// Disable for the E13 ablation or to get strict textual-order
+  /// evaluation.
   bool use_planner = true;
-  /// Compiled tier (ROADMAP item 5, src/query/compile.hpp): when true and
-  /// the shape is compilable, evaluate() and satisfiable_seeded() execute
-  /// a cached bytecode match program instead of walking the pattern trees.
-  /// Semantics are identical (the differential harness in tests/query
-  /// proves it); disable per-query for ablations, or process-wide with
-  /// set_query_compiler_enabled(false).
-  bool use_compiler = true;
 
   /// Interns names and resolves expressions. Call exactly once.
   void resolve(SymbolTable& symtab);
 
-  /// Evaluates against `source` with the process environment `env`.
+  /// Evaluates against `source` with the process environment `env`, by
+  /// running the cached match program for env's binding signature
+  /// (src/query/compile.hpp). Throws std::logic_error before resolve().
   /// `env` is used as working storage: local slots are cleared on entry;
   /// on Exists-success, env retains the successful binding (so subsequent
   /// action expressions can read the quantified variables). On failure and
@@ -240,6 +235,7 @@ class Query {
   /// local slots are left cleared) — a positive answer falls through to
   /// the full execute(), which rebinds identically. Conservatively
   /// returns true (= take the full path) outside the monotone fragment.
+  /// Throws std::logic_error before resolve().
   /// Caller must hold the engine's read locks covering the query's read
   /// set; `seeds` must point into live index nodes under those locks.
   [[nodiscard]] bool satisfiable_seeded(
@@ -261,11 +257,8 @@ class Query {
   std::vector<int> local_slots_;  // filled by resolve()
   /// Compiled-plan cache, created by resolve(); shared by copies of this
   /// query (copies have the identical resolved shape). Null before
-  /// resolve() — evaluation then always takes the interpreter.
+  /// resolve().
   std::shared_ptr<PlanCache> plan_cache_;
-
-  bool negation_holds(const NegatedGroup& g, const TupleSource& source, Env& env,
-                      const FunctionRegistry* fns) const;
 };
 
 }  // namespace sdl

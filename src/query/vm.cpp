@@ -277,7 +277,7 @@ EvalResult run(const ExprProgram& prog, const Env& env,
         try {
           regs[static_cast<std::size_t>(in.dst)] = (*fn)(args);
         } catch (const std::invalid_argument&) {
-          // Interpreter parity: a host function rejecting its arguments is
+          // Expr::eval parity: a host function rejecting its arguments is
           // a guard-reject, not an abort. Anything else propagates.
           result.trap = Trap::HostError;
           return result;

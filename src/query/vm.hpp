@@ -1,20 +1,19 @@
-// The query VM (ROADMAP item 5): a small register machine that executes
-// expression bytecode compiled by src/query/compile.{hpp,cpp}.
+// The query VM: a small register machine that executes expression
+// bytecode compiled by src/query/compile.{hpp,cpp} — every guard and every
+// computed pattern term a query evaluates.
 //
-// The tree interpreter (expr.cpp) uses C++ exceptions as control flow: a
-// guard that divides by zero or orders an atom against an integer throws
-// std::invalid_argument, which guard_true catches to reject the candidate.
-// That is correct but costs a throw/catch round-trip per rejected candidate
-// and re-walks the shared_ptr tree per evaluation. The VM replaces both:
-// one flat instruction array per expression, evaluated left-to-right into a
-// caller-provided register file, with a `Trap` result code in place of the
-// exception — the hot path never throws.
+// The tree evaluator (Expr::eval in expr.cpp, used for actions) reports
+// errors by throwing std::invalid_argument. Query matching rejects far more
+// candidates than it accepts, so the VM replaces both the throw and the
+// shared_ptr tree walk: one flat instruction array per expression,
+// evaluated left-to-right into a caller-provided register file, with a
+// `Trap` result code in place of the exception — the hot path never throws.
 //
-// Trap semantics mirror the interpreter's std::invalid_argument cases
-// one-for-one (see arith_checked below, which BOTH tiers call so the
-// satellite overflow fixes cannot diverge between them). Host-function
-// calls are the only place the VM still catches: a registered function that
-// throws std::invalid_argument becomes Trap::HostError; any other exception
+// Trap semantics mirror Expr::eval's std::invalid_argument cases
+// one-for-one (see arith_checked below, which BOTH evaluators call so the
+// overflow fixes cannot diverge between them). Host-function calls are the
+// only place the VM still catches: a registered function that throws
+// std::invalid_argument becomes Trap::HostError; any other exception
 // propagates, exactly as it would out of Expr::eval.
 #pragma once
 
@@ -28,7 +27,7 @@
 namespace sdl::vm {
 
 /// Why an evaluation could not produce a value. Every enumerator below
-/// corresponds to a std::invalid_argument site in the tree interpreter.
+/// corresponds to a std::invalid_argument site in Expr::eval.
 enum class Trap : std::uint8_t {
   None = 0,
   Unbound,    // read of an unbound (Nil) or unresolved variable
@@ -41,12 +40,12 @@ enum class Trap : std::uint8_t {
   HostError,  // registered function threw std::invalid_argument
 };
 
-/// Human-readable trap description (interpreter error-message parity).
+/// Human-readable trap description (Expr::eval error-message parity).
 [[nodiscard]] const char* trap_message(Trap t);
 
-// ---- Checked scalar operations (shared by interpreter and VM) ----
+// ---- Checked scalar operations (shared by Expr::eval and the VM) ----
 //
-// Satellite fixes live here so both tiers inherit them:
+// Overflow fixes live here so both evaluators inherit them:
 //  * Div/Mod reject b == 0 AND the INT64_MIN / -1 pair that hardware-traps.
 //  * Add/Sub/Mul detect signed wrap with __builtin_*_overflow and widen the
 //    result to double instead of wrapping (previously UB).
@@ -57,7 +56,7 @@ enum class Trap : std::uint8_t {
 [[nodiscard]] Trap arith_checked(Expr::Op op, const Value& a, const Value& b,
                                  Value& out);
 
-/// out <- a (op) b for Eq/Ne/Lt/Le/Gt/Ge, with the interpreter's semantics:
+/// out <- a (op) b for Eq/Ne/Lt/Le/Gt/Ge, with Expr::eval's semantics:
 /// Eq/Ne are numeric across Int/Double and structural otherwise (never
 /// trap); orderings use Value::numeric_compare and trap on mixed
 /// non-numeric kinds.
@@ -124,7 +123,7 @@ struct EvalResult {
                              std::span<Value> regs);
 
 /// Guard execution: run + truthiness of the result. Returns false on ANY
-/// trap — the exact counterpart of guard_true's catch(invalid_argument).
+/// trap: a guard that cannot be evaluated rejects the candidate.
 [[nodiscard]] bool run_guard(const ExprProgram& prog, const Env& env,
                              const FunctionRegistry* fns,
                              std::span<Value> regs);

@@ -12,10 +12,8 @@
 namespace sdl {
 
 // Both engines funnel every query — execute, probe, probe_seeded, wakeup
-// re-check — through Query::evaluate / Query::satisfiable_seeded, so the
-// compiled bytecode tier (query/compile.hpp) applies uniformly here: hot
-// shapes run match programs from the per-query plan cache, value-dependent
-// shapes fall back to the join interpreter per evaluation.
+// re-check — through Query::evaluate / Query::satisfiable_seeded, which
+// run match programs from the per-query plan cache (query/compile.hpp).
 QueryOutcome Engine::evaluate_query(const Transaction& txn, Env& env,
                                     const View* view) const {
   if (view != nullptr && !view->imports_everything()) {

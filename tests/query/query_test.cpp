@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "query/reference_eval.hpp"
+
 namespace sdl {
 namespace {
 
@@ -14,11 +16,13 @@ struct QueryFixture {
   Env env;
   FunctionRegistry fns;
 
-  QueryOutcome run(Query& q) {
+  /// `compiled` false evaluates through the test reference evaluator.
+  QueryOutcome run(Query& q, bool compiled = true) {
     q.resolve(st);
     env.resize(static_cast<std::size_t>(st.size()));
     const DataspaceSource src(space);
-    return q.evaluate(src, env, &fns);
+    return compiled ? q.evaluate(src, env, &fns)
+                    : reference_evaluate(q, src, env, &fns);
   }
   Value slot(const std::string& name) {
     return env[static_cast<std::size_t>(*st.lookup(name))];
@@ -213,7 +217,7 @@ TEST(QueryTest, ViolatedForAllUnbindsPatternVars) {
   // Regression: a violated ForAll used to return without unwinding the
   // violating candidate's bindings, so pattern variables not declared
   // local stayed bound in env and acted as equality constraints on every
-  // later evaluation. Exercise both tiers.
+  // later evaluation. Exercise the compiled tier and the reference.
   for (const bool compiled : {true, false}) {
     QueryFixture f;
     f.space.insert(tup("t", 1), 0);
@@ -222,8 +226,7 @@ TEST(QueryTest, ViolatedForAllUnbindsPatternVars) {
     q.quantifier = Quantifier::ForAll;
     q.patterns = {pat({A("t"), V("x")})};
     q.guard = lt(evar("x"), lit(2));  // violated by <t, 2>
-    q.use_compiler = compiled;
-    EXPECT_FALSE(f.run(q).success);
+    EXPECT_FALSE(f.run(q, compiled).success);
     EXPECT_TRUE(f.slot("x").is_nil())
         << "violated ForAll leaked a binding (compiled=" << compiled << ")";
     // Re-evaluation must see a fresh slot: with the leak, x was pinned to
@@ -231,8 +234,7 @@ TEST(QueryTest, ViolatedForAllUnbindsPatternVars) {
     Query q2;
     q2.patterns = {pat({A("t"), V("x")})};
     q2.guard = eq(evar("x"), lit(1));
-    q2.use_compiler = compiled;
-    EXPECT_TRUE(f.run(q2).success)
+    EXPECT_TRUE(f.run(q2, compiled).success)
         << "stale ForAll binding constrained a later query (compiled="
         << compiled << ")";
   }

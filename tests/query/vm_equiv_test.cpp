@@ -1,23 +1,26 @@
-// Differential harness for the compiled query tier (ISSUE 10).
+// Differential harness for the compiled query tier.
 //
-// The compiler's correctness claim is total equivalence: for every query
-// in the compilable fragment, the bytecode match program must produce the
-// SAME QueryOutcome — success bit, match order, bindings, read sets,
-// retract sets — and the same final env as the join interpreter, under
-// every binding signature. This file discharges that claim two ways:
+// The compiler's correctness claim is total equivalence: for every query,
+// the bytecode match program must produce the SAME QueryOutcome — success
+// bit, match order, bindings, read sets, retract sets — and the same final
+// env as the test reference evaluator (reference_eval.hpp, the tree-walking
+// join interpreter with its dynamic planner), under every binding
+// signature. This file discharges that claim two ways:
 //
 //   * a shape sweep: every execution feature the compiler lowers
 //     (exact/arity/secondary scans, joins, wildcards, retract tags,
 //     negations, ForAll, seeded probes, guard traps, pre-bound
-//     signatures) evaluated compiled-vs-interpreted on the same data;
+//     signatures, computed terms and their traps, not-ready patterns,
+//     wide signatures) evaluated compiled-vs-reference on the same data;
 //   * a seeded property test over random expression trees: the VM's
-//     value-or-trap must agree with the interpreter's value-or-throw on
-//     every tree. Runs under the ASan+UBSan and TSan CI jobs, so the
-//     satellite arithmetic fixes are exercised with sanitizers watching.
+//     value-or-trap must agree with Expr::eval's value-or-throw on every
+//     tree. Runs under the ASan+UBSan and TSan CI jobs, so the checked
+//     arithmetic is exercised with sanitizers watching.
 #include "query/compile.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -27,50 +30,81 @@
 #include <string>
 #include <vector>
 
+#include "query/reference_eval.hpp"
+
 namespace sdl {
 namespace {
 
-/// Evaluates structurally identical queries compiled and interpreted over
-/// one dataspace and asserts outcome + env equivalence.
+/// Evaluates structurally identical queries compiled and through the
+/// reference over one dataspace and asserts outcome + env equivalence.
 struct DiffFixture {
   Dataspace space{16};
   FunctionRegistry fns;
 
-  /// `make` builds the query fresh per tier (resolve() is once-only);
+  /// `make` builds the query fresh per evaluator (resolve() is once-only);
   /// `pre` seeds process-persistent bindings after resolve, before
   /// evaluation — the binding-signature dimension of the cache key.
   QueryOutcome diff(const std::function<Query()>& make,
-                    const std::function<void(SymbolTable&, Env&)>& pre = {},
-                    bool expect_compiled = true) {
+                    const std::function<void(SymbolTable&, Env&)>& pre = {}) {
     SymbolTable st_c;
-    SymbolTable st_i;
+    SymbolTable st_r;
     Query qc = make();
-    Query qi = make();
-    qc.use_compiler = true;
-    qi.use_compiler = false;
+    Query qr = make();
     qc.resolve(st_c);
-    qi.resolve(st_i);
+    qr.resolve(st_r);
     Env env_c(static_cast<std::size_t>(st_c.size()));
-    Env env_i(static_cast<std::size_t>(st_i.size()));
+    Env env_r(static_cast<std::size_t>(st_r.size()));
     if (pre) {
       pre(st_c, env_c);
-      pre(st_i, env_i);
+      pre(st_r, env_r);
     }
+    const DataspaceSource src(space);
+    const QueryOutcome oc = evaluate_compiled(qc, src, env_c, fns);
+    const QueryOutcome orf = reference_evaluate(qr, src, env_r, &fns);
+    expect_equiv(oc, orf, env_c, env_r);
+    return oc;
+  }
+
+  /// satisfiable_seeded, compiled vs reference; asserts equal answers and
+  /// equal final environments. Returns the compiled answer and env.
+  std::pair<bool, Env> seeded_diff(
+      const std::function<Query()>& make, std::size_t seed_idx,
+      const std::vector<const Record*>& seeds,
+      const std::function<void(SymbolTable&, Env&)>& pre = {}) {
+    SymbolTable st_c;
+    SymbolTable st_r;
+    Query qc = make();
+    Query qr = make();
+    qc.resolve(st_c);
+    qr.resolve(st_r);
+    Env env_c(static_cast<std::size_t>(st_c.size()));
+    Env env_r(static_cast<std::size_t>(st_r.size()));
+    if (pre) {
+      pre(st_c, env_c);
+      pre(st_r, env_r);
+    }
+    const DataspaceSource src(space);
     const auto& stats = plan_cache_stats();
     const std::uint64_t lookups0 = stats.hits.load() + stats.misses.load();
-    const std::uint64_t bailouts0 = stats.bailouts.load();
-    const DataspaceSource src(space);
-    const QueryOutcome oc = qc.evaluate(src, env_c, &fns);
-    const QueryOutcome oi = qi.evaluate(src, env_i, &fns);
-    if (expect_compiled) {
-      EXPECT_GT(stats.hits.load() + stats.misses.load(), lookups0)
-          << "compiled tier never engaged — the comparison is vacuous";
-    } else {
-      EXPECT_GT(stats.bailouts.load(), bailouts0)
-          << "expected an interpreter bailout";
-    }
-    expect_equiv(oc, oi, env_c, env_i);
-    return oc;
+    const bool sc = qc.satisfiable_seeded(src, env_c, &fns, seed_idx, seeds);
+    EXPECT_GT(stats.hits.load() + stats.misses.load(), lookups0)
+        << "compiled seeded check never engaged";
+    const bool sr =
+        reference_satisfiable_seeded(qr, src, env_r, &fns, seed_idx, seeds);
+    EXPECT_EQ(sc, sr) << "seed_idx=" << seed_idx;
+    EXPECT_EQ(env_c, env_r);
+    return {sc, env_c};
+  }
+
+  /// Query::evaluate, asserting that it went through the plan cache.
+  static QueryOutcome evaluate_compiled(const Query& q, const TupleSource& src,
+                                        Env& env, const FunctionRegistry& fns) {
+    const auto& stats = plan_cache_stats();
+    const std::uint64_t lookups0 = stats.hits.load() + stats.misses.load();
+    QueryOutcome out = q.evaluate(src, env, &fns);
+    EXPECT_GT(stats.hits.load() + stats.misses.load(), lookups0)
+        << "compiled tier never engaged — the comparison is vacuous";
+    return out;
   }
 
   static void expect_equiv(const QueryOutcome& oc, const QueryOutcome& oi,
@@ -320,25 +354,307 @@ TEST(VmEquivTest, PreBoundSignaturesGetDistinctPlans) {
   ASSERT_TRUE(pinned.success);
 }
 
-TEST(VmEquivTest, ComputedTermShapesBailOutToInterpreter) {
+TEST(VmEquivTest, ComputedTermShapesCompile) {
   DiffFixture f;
   f.space.insert(tup("s", 4), 0);
-  // <s, 2+2>: a computed Expr term — outside the compilable fragment; the
-  // compiled tier must bail (counted) and fall through with identical
-  // results.
-  EXPECT_TRUE(f.diff(
-                   [] {
-                     Query q;
-                     q.patterns = {pat({A("s"), E(add(lit(2), lit(2)))})};
-                     return q;
-                   },
-                   {}, /*expect_compiled=*/false)
-                  .success);
-  EXPECT_FALSE(query_shape_compilable([] {
+  // <s, 2+2>: a computed term with no variables — compiled (the plan
+  // cache engages) with results identical to the reference.
+  EXPECT_TRUE(f.diff([] {
+                  Query q;
+                  q.patterns = {pat({A("s"), E(add(lit(2), lit(2)))})};
+                  return q;
+                }).success);
+}
+
+/// Sum1's selection (§3.1): [k - 2**(j-1), a]!, [k, b]! with k, j
+/// process parameters — the computed head is an exact probe keyed at scan
+/// time.
+Query sum1_query() {
+  Query q;
+  q.local_vars = {"a", "b"};
+  TuplePattern left =
+      pat({E(sub(evar("k"), pow_(lit(2), sub(evar("j"), lit(1))))), V("a")});
+  left.set_retract(true);
+  TuplePattern right = pat({V("k"), V("b")});
+  right.set_retract(true);
+  q.patterns = {left, right};
+  return q;
+}
+
+TEST(VmEquivTest, Sum1ComputedHeadAgrees) {
+  DiffFixture f;
+  for (int k = 1; k <= 8; ++k) f.space.insert(tup(k, k * 11), 0);
+  for (const auto& [k, j, want_a] :
+       {std::tuple{4, 1, 33}, std::tuple{4, 2, 22}, std::tuple{8, 3, 44}}) {
+    const QueryOutcome out =
+        f.diff(sum1_query, [k = k, j = j](SymbolTable& st, Env& env) {
+          env[static_cast<std::size_t>(*st.lookup("k"))] = Value(k);
+          env[static_cast<std::size_t>(*st.lookup("j"))] = Value(j);
+        });
+    ASSERT_TRUE(out.success) << "k=" << k << " j=" << j;
+    const Env& b = out.matches[0].binding;
+    EXPECT_NE(std::find(b.begin(), b.end(), Value(want_a)), b.end())
+        << "k=" << k << " j=" << j << " bound the wrong left partner";
+    EXPECT_EQ(out.matches[0].retract.size(), 2u);
+  }
+  // The left partner is gone: no match, both evaluators.
+  EXPECT_FALSE(f.diff(sum1_query, [](SymbolTable& st, Env& env) {
+                  env[static_cast<std::size_t>(*st.lookup("k"))] = Value(20);
+                  env[static_cast<std::size_t>(*st.lookup("j"))] = Value(1);
+                }).success);
+}
+
+TEST(VmEquivTest, ComputedSecondFieldProbesAgree) {
+  DiffFixture f;
+  for (int i = 0; i < 8; ++i) f.space.insert(tup("edge", i, i * 10), 0);
+  f.space.insert(tup("pick", 4), 0);
+  // Field 1 computed from a variable bound by an earlier pattern: a
+  // secondary probe keyed by x+1 at scan time.
+  const auto make = [] {
     Query q;
-    q.patterns = {pat({A("s"), E(add(lit(2), lit(2)))})};
+    q.local_vars = {"x", "w"};
+    q.patterns = {pat({A("pick"), V("x")}),
+                  pat({A("edge"), E(add(evar("x"), lit(1))), V("w")})};
     return q;
-  }()));
+  };
+  const QueryOutcome out = f.diff(make);
+  ASSERT_TRUE(out.success);
+  EXPECT_EQ(out.matches[0].binding.back(), Value(50));
+  {
+    // The probe offers one <edge, 5, _> record, not the whole bucket.
+    SymbolTable st;
+    Query q = make();
+    q.resolve(st);
+    Env env(static_cast<std::size_t>(st.size()));
+    const DataspaceSource src(f.space);
+    const std::uint64_t before = f.space.stats().records_scanned;
+    ASSERT_TRUE(q.evaluate(src, env, &f.fns).success);
+    EXPECT_EQ(f.space.stats().records_scanned - before, 2u)
+        << "one <pick> record plus one probed <edge> record";
+  }
+  // Field 1 computed from a pre-bound process variable, ForAll.
+  const QueryOutcome all = f.diff(
+      [] {
+        Query q;
+        q.quantifier = Quantifier::ForAll;
+        q.local_vars = {"w"};
+        q.patterns = {pat({A("edge"), E(mul(evar("n"), lit(2))), V("w")})};
+        return q;
+      },
+      [](SymbolTable& st, Env& env) {
+        env[static_cast<std::size_t>(*st.lookup("n"))] = Value(3);
+      });
+  ASSERT_TRUE(all.success);
+  EXPECT_EQ(all.matches.size(), 1u);
+}
+
+TEST(VmEquivTest, SelfReferentialComputedFieldAgrees) {
+  DiffFixture f;
+  f.space.insert(tup(1, 2), 0);
+  f.space.insert(tup(3, 5), 0);
+  f.space.insert(tup(4, 5), 0);
+  // [x, x+1]: not ready before it matches (x+1 reads x), yet matchable —
+  // field 0 binds x, field 1 then checks x+1.
+  const QueryOutcome out = f.diff([] {
+    Query q;
+    q.quantifier = Quantifier::ForAll;
+    q.local_vars = {"x"};
+    q.patterns = {pat({V("x"), E(add(evar("x"), lit(1)))})};
+    return q;
+  });
+  ASSERT_TRUE(out.success);
+  EXPECT_EQ(out.matches.size(), 2u);  // <1,2> and <4,5>
+  // Reversed, [x+1, x] can never match: field 0 reads x before field 1
+  // binds it.
+  EXPECT_FALSE(f.diff([] {
+                   Query q;
+                   q.local_vars = {"x"};
+                   q.patterns = {pat({E(add(evar("x"), lit(1))), V("x")})};
+                   return q;
+                 }).success);
+}
+
+TEST(VmEquivTest, NotReadyFirstPatternAgrees) {
+  DiffFixture f;
+  f.space.insert(tup("head", 4), 0);
+  f.space.insert(tup(5, 50), 0);
+  // [x+1, b] is textually first but not ready: the planner defers it
+  // behind [head, x]; with the planner off textual order fails. Both
+  // modes agree with the reference.
+  for (const bool planner : {true, false}) {
+    const QueryOutcome out = f.diff([planner] {
+      Query q;
+      q.use_planner = planner;
+      q.local_vars = {"x", "b"};
+      q.patterns = {pat({E(add(evar("x"), lit(1))), V("b")}),
+                    pat({A("head"), V("x")})};
+      return q;
+    });
+    EXPECT_EQ(out.success, planner);
+  }
+  // [a, x+1] has an exact head but is not ready: it must wait behind the
+  // arity sweep [x, q] that binds x, not run first and trap.
+  f.space.insert(tup("a", 5), 0);
+  f.space.insert(tup(4, "q"), 0);
+  EXPECT_TRUE(f.diff([] {
+                  Query q;
+                  q.local_vars = {"x"};
+                  q.patterns = {pat({A("a"), E(add(evar("x"), lit(1)))}),
+                                pat({V("x"), A("q")})};
+                  return q;
+                }).success);
+  // No order makes either pattern ready.
+  EXPECT_FALSE(f.diff([] {
+                   Query q;
+                   q.local_vars = {"x", "y"};
+                   q.patterns = {pat({E(add(evar("x"), lit(1))), V("y")}),
+                                 pat({E(add(evar("y"), lit(1))), V("x")})};
+                   return q;
+                 }).success);
+}
+
+TEST(VmEquivTest, ComputedTermTrapsAgree) {
+  DiffFixture f;
+  f.space.insert(tup("src", 0), 0);
+  f.space.insert(tup("src", 2), 0);
+  f.space.insert(tup("d", 5, 1), 0);
+  f.space.insert(tup(5, 7), 0);
+  for (int i = 0; i < 4; ++i) f.space.insert(tup("h", i), 0);
+  // Computed head: 10 / z with z pre-bound to 0 traps, so the pattern
+  // has no candidates — the reference defers it as not ready and fails
+  // the same subtree later.
+  const auto head_trap = [] {
+    Query q;
+    q.local_vars = {"y", "v"};
+    q.patterns = {pat({E(div_(lit(10), evar("z"))), V("y")}),
+                  pat({A("h"), V("v")})};
+    return q;
+  };
+  EXPECT_FALSE(f.diff(head_trap, [](SymbolTable& st, Env& env) {
+                  env[static_cast<std::size_t>(*st.lookup("z"))] = Value(0);
+                }).success);
+  EXPECT_TRUE(f.diff(head_trap, [](SymbolTable& st, Env& env) {
+                 env[static_cast<std::size_t>(*st.lookup("z"))] = Value(2);
+               }).success);
+  // Computed field 1 (secondary probe): 10 / v traps on the v=0
+  // candidate and matches <d, 5, _> on v=2.
+  const QueryOutcome probe = f.diff([] {
+    Query q;
+    q.quantifier = Quantifier::ForAll;
+    q.local_vars = {"v", "w"};
+    q.patterns = {pat({A("src"), V("v")}),
+                  pat({A("d"), E(div_(lit(10), evar("v"))), V("w")})};
+    return q;
+  });
+  ASSERT_TRUE(probe.success);
+  EXPECT_EQ(probe.matches.size(), 1u);
+  // Computed field 2 (a per-candidate check, not a probe): w*0 traps on
+  // the atom-valued w and is rejected; <d, 6, 0> passes.
+  f.space.insert(tup("d", Value::atom("x"), 0), 0);
+  f.space.insert(tup("d", 6, 0), 0);
+  const QueryOutcome check = f.diff([] {
+    Query q;
+    q.quantifier = Quantifier::ForAll;
+    q.local_vars = {"w"};
+    q.patterns = {pat({A("d"), W(), E(sub(lit(2), lit(1)))}),
+                  pat({A("d"), V("w"), E(mul(evar("w"), lit(0)))})};
+    return q;
+  });
+  ASSERT_TRUE(check.success);
+  EXPECT_EQ(check.matches.size(), 1u);
+}
+
+TEST(VmEquivTest, ExpressionOnlyProcessVariableGetsDistinctPlans) {
+  // n appears only inside [n+1, b]: its boundness still decides the plan
+  // (arity sweep behind [h, a] vs an exact probe first), so it is part of
+  // the binding signature. A stale plan would enumerate in a different
+  // order; the reference pins the order.
+  DiffFixture f;
+  f.space.insert(tup(5, 1), 0);
+  f.space.insert(tup(5, 2), 0);
+  f.space.insert(tup(7, 3), 0);
+  const auto make = [] {
+    Query q;
+    q.quantifier = Quantifier::ForAll;
+    q.local_vars = {"h", "a", "b"};
+    q.patterns = {pat({V("h"), V("a")}),
+                  pat({E(add(evar("n"), lit(1))), V("b")})};
+    return q;
+  };
+  SymbolTable st_c;
+  SymbolTable st_r;
+  Query qc = make();
+  Query qr = make();
+  qc.resolve(st_c);
+  qr.resolve(st_r);
+  Env env_c(static_cast<std::size_t>(st_c.size()));
+  Env env_r(static_cast<std::size_t>(st_r.size()));
+  const DataspaceSource src(f.space);
+  const auto& stats = plan_cache_stats();
+
+  // n unbound: [n+1, b] is never ready; ForAll is vacuously true.
+  const std::uint64_t compiles0 = stats.compiles.load();
+  QueryOutcome oc = DiffFixture::evaluate_compiled(qc, src, env_c, f.fns);
+  QueryOutcome orf = reference_evaluate(qr, src, env_r, &f.fns);
+  DiffFixture::expect_equiv(oc, orf, env_c, env_r);
+  EXPECT_TRUE(oc.success);
+  EXPECT_TRUE(oc.matches.empty());
+  EXPECT_EQ(stats.compiles.load(), compiles0 + 1);
+
+  // n bound: a new signature, a new plan, and the probe-first order.
+  env_c[static_cast<std::size_t>(*st_c.lookup("n"))] = Value(4);
+  env_r[static_cast<std::size_t>(*st_r.lookup("n"))] = Value(4);
+  oc = DiffFixture::evaluate_compiled(qc, src, env_c, f.fns);
+  orf = reference_evaluate(qr, src, env_r, &f.fns);
+  DiffFixture::expect_equiv(oc, orf, env_c, env_r);
+  ASSERT_TRUE(oc.success);
+  EXPECT_EQ(oc.matches.size(), 4u);
+  EXPECT_EQ(stats.compiles.load(), compiles0 + 2)
+      << "binding n must select a different plan";
+
+  // Same signature again: a cache hit, no compile.
+  const std::uint64_t hits0 = stats.hits.load();
+  oc = DiffFixture::evaluate_compiled(qc, src, env_c, f.fns);
+  EXPECT_EQ(stats.compiles.load(), compiles0 + 2);
+  EXPECT_GT(stats.hits.load(), hits0);
+}
+
+TEST(VmEquivTest, SixtyFiveVariablesCompile) {
+  // 65 distinct pattern variables need a second signature word; binding
+  // the 65th must select its own plan.
+  DiffFixture f;
+  constexpr int kVars = 65;
+  std::vector<Value> fields{Value::atom("wide")};
+  for (int i = 0; i < kVars; ++i) fields.emplace_back(i);
+  f.space.insert(Tuple(fields), 0);
+  const auto make = [] {
+    Query q;
+    std::vector<Term> terms{A("wide")};
+    for (int i = 0; i < kVars; ++i) terms.push_back(V("v" + std::to_string(i)));
+    q.patterns = {pat(terms)};
+    return q;
+  };
+  const QueryOutcome free_vars = f.diff(make);
+  ASSERT_TRUE(free_vars.success);
+  const auto pin_last = [](int value) {
+    return [value](SymbolTable& st, Env& env) {
+      env[static_cast<std::size_t>(*st.lookup("v64"))] = Value(value);
+    };
+  };
+  EXPECT_TRUE(f.diff(make, pin_last(64)).success);
+  EXPECT_FALSE(f.diff(make, pin_last(63)).success);
+
+  // One query, one cache: the bit-64 signature gets its own entry, so a
+  // pinned v64 is checked, not re-bound.
+  SymbolTable st;
+  Query q = make();
+  q.resolve(st);
+  Env env(static_cast<std::size_t>(st.size()));
+  const DataspaceSource src(f.space);
+  ASSERT_TRUE(q.evaluate(src, env, &f.fns).success);
+  for (Value& v : env) v = Value();
+  env[static_cast<std::size_t>(*st.lookup("v64"))] = Value(63);
+  EXPECT_FALSE(q.evaluate(src, env, &f.fns).success);
 }
 
 TEST(VmEquivTest, SeededProbesAgree) {
@@ -356,35 +672,53 @@ TEST(VmEquivTest, SeededProbesAgree) {
                    });
   ASSERT_EQ(seeds.size(), 2u);
   for (std::size_t seed_idx : {std::size_t{0}, std::size_t{1}}) {
-    SymbolTable st_c;
-    SymbolTable st_i;
     const auto make = [] {
       Query q;
       q.local_vars = {"x"};
       q.patterns = {pat({A("a"), V("x")}), pat({A("b"), V("x")})};
       return q;
     };
-    Query qc = make();
-    Query qi = make();
-    qc.use_compiler = true;
-    qi.use_compiler = false;
-    qc.resolve(st_c);
-    qi.resolve(st_i);
-    Env env_c(static_cast<std::size_t>(st_c.size()));
-    Env env_i(static_cast<std::size_t>(st_i.size()));
-    const DataspaceSource src(f.space);
     // seed_idx 0 seeds pattern <a,x> from the delta; seed_idx 1 seeds
     // <b,x> with records that belong to bucket <a,_> — arity matches but
     // heads don't, so the seeded candidates all fail the head check.
-    const bool sc = qc.satisfiable_seeded(src, env_c, &f.fns, seed_idx, seeds);
-    const bool si = qi.satisfiable_seeded(src, env_i, &f.fns, seed_idx, seeds);
-    EXPECT_EQ(sc, si) << "seed_idx=" << seed_idx;
+    const auto [sc, env_c] = f.seeded_diff(make, seed_idx, seeds);
     EXPECT_EQ(sc, seed_idx == 0);
-    EXPECT_EQ(env_c, env_i);
     for (const Value& v : env_c) {
       EXPECT_TRUE(v.is_nil()) << "seeded probe leaked a binding";
     }
   }
+}
+
+TEST(VmEquivTest, SeededProbeOverComputedTermAgrees) {
+  DiffFixture f;
+  for (int k = 1; k <= 4; ++k) f.space.insert(tup(k, k * 11), 0);
+  f.space.insert(tup("head", 4), 0);
+  // The delta: the freshly asserted <3, 33> and <5, 50>.
+  const TupleId fresh = f.space.insert(tup(5, 50), 0);
+  std::vector<const Record*> seeds;
+  f.space.scan_arity(2, [&](const Record& r) {
+    if (r.id == fresh || r.tuple == tup(3, 33)) seeds.push_back(&r);
+    return true;
+  });
+  ASSERT_EQ(seeds.size(), 2u);
+  const auto k4j1 = [](SymbolTable& st, Env& env) {
+    env[static_cast<std::size_t>(*st.lookup("k"))] = Value(4);
+    env[static_cast<std::size_t>(*st.lookup("j"))] = Value(1);
+  };
+  // Sum1 seeded on its computed head (k-1 = 3 is in the delta) and on
+  // its variable head (no <4, _> in the delta).
+  EXPECT_TRUE(f.seeded_diff(sum1_query, 0, seeds, k4j1).first);
+  EXPECT_FALSE(f.seeded_diff(sum1_query, 1, seeds, k4j1).first);
+  // A seeded pattern that is not ready waits behind [head, x], as in the
+  // unseeded plan; x+1 = 5 then finds <5, 50> among the seeds.
+  const auto dependent = [] {
+    Query q;
+    q.local_vars = {"x", "b"};
+    q.patterns = {pat({E(add(evar("x"), lit(1))), V("b")}),
+                  pat({A("head"), V("x")})};
+    return q;
+  };
+  EXPECT_TRUE(f.seeded_diff(dependent, 0, seeds).first);
 }
 
 TEST(VmEquivTest, PlanCacheInvalidatesOnIndexGrowth) {
@@ -419,25 +753,20 @@ TEST(VmEquivTest, PlanCacheInvalidatesOnIndexGrowth) {
       << "stale plan survived an index-statistics epoch bump";
 }
 
-TEST(VmEquivTest, ProcessWideKillSwitchForcesInterpreter) {
+TEST(VmEquivTest, UnresolvedQueryHasNoFallback) {
+  // The plan cache resolve() creates is the only way to evaluate: an
+  // unresolved query fails loudly instead of taking another path.
   DiffFixture f;
   f.space.insert(tup("k", 1), 0);
-  SymbolTable st;
   Query q;
   q.local_vars = {"x"};
   q.patterns = {pat({A("k"), V("x")})};
-  q.resolve(st);
-  Env env(static_cast<std::size_t>(st.size()));
-  const auto& stats = plan_cache_stats();
-  set_query_compiler_enabled(false);
-  const std::uint64_t lookups0 = stats.hits.load() + stats.misses.load();
-  {
-    const DataspaceSource src(f.space);
-    EXPECT_TRUE(q.evaluate(src, env, &f.fns).success);
-  }
-  EXPECT_EQ(stats.hits.load() + stats.misses.load(), lookups0)
-      << "kill switch did not bypass the plan cache";
-  set_query_compiler_enabled(true);
+  Env env(4);
+  const DataspaceSource src(f.space);
+  EXPECT_THROW((void)q.evaluate(src, env, &f.fns), std::logic_error);
+  const std::vector<const Record*> seeds;
+  EXPECT_THROW((void)q.satisfiable_seeded(src, env, &f.fns, 0, seeds),
+               std::logic_error);
 }
 
 // ---- Seeded expression property test (runs under ASan+UBSan in CI) ----
@@ -445,7 +774,7 @@ TEST(VmEquivTest, ProcessWideKillSwitchForcesInterpreter) {
 /// Random expression trees: every operator the language has, over int,
 /// double, bool, atom and variable leaves (some variables unbound). The
 /// contract: the VM returns exactly the interpreter's value, or traps
-/// exactly when the interpreter throws std::invalid_argument.
+/// exactly when Expr::eval throws std::invalid_argument.
 class ExprGen {
  public:
   explicit ExprGen(std::uint64_t seed) : rng_(seed) {}
