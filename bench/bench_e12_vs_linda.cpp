@@ -12,7 +12,7 @@
 
 #include <thread>
 
-#include "linda/linda.hpp"
+#include "linda.hpp"
 #include "workloads.hpp"
 
 namespace {

@@ -110,8 +110,43 @@ void BM_MatchBySecond(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
+/// The lock-free point read end to end: ShardedEngine::execute of
+/// `exists b : [h, k, b]` with `k` bound, over one bucket of `size`
+/// tuples. The optimistic path probes the field-1 index, so the time per
+/// read should not depend on the bucket size (run_benches.sh gates the
+/// 100000 row against the 1000 row).
+void BM_PointReadOptimistic(benchmark::State& state) {
+  const std::int64_t size = state.range(0);
+  Dataspace space(64);
+  WaitSet waits;
+  FunctionRegistry fns;
+  ShardedEngine engine(space, waits, &fns);
+  for (std::int64_t i = 0; i < size; ++i) {
+    space.insert(tup("h", i, i), kEnvironmentProcess);
+  }
+  SymbolTable st;
+  Transaction read = TxnBuilder()
+                         .exists({"b"})
+                         .match(pat({A("h"), V("k"), V("b")}))
+                         .build();
+  read.resolve(st);
+  Env env(static_cast<std::size_t>(st.size()));
+  const auto k_slot = static_cast<std::size_t>(*st.lookup("k"));
+  std::int64_t probe = 0;
+  for (auto _ : state) {
+    env[k_slot] = Value(probe++ % size);
+    benchmark::DoNotOptimize(engine.execute(read, env, ProcessId{1}).success);
+  }
+  if (engine.stats().read_optimistic.load() !=
+      static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("a point read left the optimistic path");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
 BENCHMARK(BM_AssertRetract)->RangeMultiplier(10)->Range(1000, 1000000);
 BENCHMARK(BM_MatchBySecond)->RangeMultiplier(10)->Range(1000, 100000);
+BENCHMARK(BM_PointReadOptimistic)->Arg(1000)->Arg(100000);
 BENCHMARK(BM_MatchByHead)
     ->ArgsProduct({{100000}, {1, 16, 256, 4096}});
 BENCHMARK(BM_MatchArityWide)->RangeMultiplier(10)->Range(1000, 100000)

@@ -41,7 +41,10 @@
 #     evaluator (tests/query/reference_eval.hpp).
 #   * E5 dataspace primitives vs bench/BENCH_e5_baseline.json — the
 #     zero-regression guard for the delta-capture hooks on the commit
-#     path (tolerance band, both-direction row coverage).
+#     path (tolerance band, both-direction row coverage), plus one
+#     self-relative size-flatness gate: the optimistic point read over a
+#     100000-tuple bucket may take at most 2x the time of the 1000-tuple
+#     row (the field-1 index probe, not a bucket scan).
 #   * E21 replication vs bench/BENCH_e21_baseline.json (same band), plus
 #     the overhead gate: follower rows must commit at >= 1 - SDL_E21_GATE
 #     (default 0.10) of the 0-follower rate — WAL shipping stays off the
@@ -391,6 +394,25 @@ if bench == "bench_e13_planner":
         else:
             print(f"E13 compiler gate: {speedup:.0f}x over reference evaluator "
                   f"(gate {gate:.1f}x)")
+
+if bench == "bench_e5_dataspace":
+    # Size-flatness gate: a lock-free point read with field 1 bound probes
+    # the field-1 index, so 100x more tuples in the bucket may cost at most
+    # 2x. Self-relative, so machine speed cancels.
+    small = cur_rows.get("BM_PointReadOptimistic/1000")
+    large = cur_rows.get("BM_PointReadOptimistic/100000")
+    if small is None or large is None:
+        failures.append("E5: point-read rows missing — gate cannot run")
+    else:
+        growth = large["real_time"] / max(small["real_time"], 1e-9)
+        if growth > 2.0:
+            failures.append(
+                f"E5: optimistic point read over 100000 tuples takes "
+                f"{growth:.1f}x the 1000-tuple time (gate 2.0x) — the "
+                f"read scans the bucket")
+        else:
+            print(f"E5 point-read flatness gate: 100000/1000 = "
+                  f"{growth:.2f}x (gate 2.0x)")
 
 if bench == "bench_e21_replication":
     # Replication overhead gate: follower rows must commit at >=

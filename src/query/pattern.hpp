@@ -78,7 +78,7 @@ class TuplePattern {
 
   /// If the second term is pinned under current bindings (constant
   /// expression or bound variable), returns its value — the key into the
-  /// per-bucket secondary index.
+  /// field-1 index (Dataspace::scan_key_second).
   [[nodiscard]] std::optional<Value> second_probe(const Env& env,
                                                   const FunctionRegistry* fns) const;
 

@@ -90,8 +90,8 @@ class DataspaceSource final : public TupleSource {
 ///      the first re-read — samples all precede re-reads, so one instant
 ///      lies in every shard's stable window). Any change ⇒ retry.
 ///
-/// scan_key_second is NOT overridden: the secondary index is a writer-side
-/// plain container, so this source inherits the filtered-scan fallback.
+/// Every scan, the field-1 index probe included, walks atomic
+/// release-published chains, so all three go through the same touch.
 class OptimisticSource final : public TupleSource {
  public:
   explicit OptimisticSource(const Dataspace& space) : space_(space) {}
@@ -103,6 +103,11 @@ class OptimisticSource final : public TupleSource {
   void scan_key(const IndexKey& key, const Dataspace::RecordFn& fn) const override {
     if (!touch(space_.shard_of(key))) return;
     space_.scan_key(key, fn);
+  }
+  void scan_key_second(const IndexKey& key, const Value& second,
+                       const Dataspace::RecordFn& fn) const override {
+    if (!touch(space_.shard_of(key))) return;
+    space_.scan_key_second(key, second, fn);
   }
   void scan_arity(std::uint32_t arity, const Dataspace::RecordFn& fn) const override {
     // Arity-wide scans cross every shard; sample them all.

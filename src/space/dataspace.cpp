@@ -11,7 +11,8 @@ namespace sdl {
 namespace {
 bool is_power_of_two(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
-/// Initial bucket-table slots per shard; doubled at load factor 1.
+/// Initial bucket-table and field-1-table slots per shard; each table
+/// doubles at load factor 1.
 constexpr std::size_t kInitialSlots = 8;
 }  // namespace
 
@@ -24,8 +25,10 @@ Dataspace::Dataspace(std::size_t shard_count) {
   shard_mask_ = shard_count - 1;
   shard_bits_ = static_cast<std::size_t>(std::countr_zero(shard_count));
   for (std::size_t si = 0; si < shard_count_; ++si) {
-    shards_[si].table.store(new Table(kInitialSlots),
+    shards_[si].table.store(new BucketTable(kInitialSlots),
                             std::memory_order_relaxed);
+    shards_[si].seconds.store(new SecondTable(kInitialSlots),
+                              std::memory_order_relaxed);
   }
 }
 
@@ -35,7 +38,7 @@ Dataspace::~Dataspace() {
   // self-contained and never touch this object, so late frees are safe).
   epoch::drain();
   for (std::size_t si = 0; si < shard_count_; ++si) {
-    Table* t = shards_[si].table.load(std::memory_order_relaxed);
+    BucketTable* t = shards_[si].table.load(std::memory_order_relaxed);
     for (std::size_t slot = 0; slot <= t->mask; ++slot) {
       BucketNode* b = t->slots[slot].load(std::memory_order_relaxed);
       while (b != nullptr) {
@@ -51,12 +54,13 @@ Dataspace::~Dataspace() {
       }
     }
     delete t;
+    delete shards_[si].seconds.load(std::memory_order_relaxed);
   }
 }
 
 Dataspace::BucketNode* Dataspace::find_bucket(const Shard& shard,
                                               const IndexKey& key) const {
-  const Table* t = shard.table.load(std::memory_order_acquire);
+  const BucketTable* t = shard.table.load(std::memory_order_acquire);
   for (BucketNode* b = t->slots[slot_of(*t, key)].load(std::memory_order_acquire);
        b != nullptr; b = b->chain.load(std::memory_order_acquire)) {
     if (b->key == key) return b;
@@ -67,7 +71,7 @@ Dataspace::BucketNode* Dataspace::find_bucket(const Shard& shard,
 Dataspace::BucketNode* Dataspace::ensure_bucket(Shard& shard,
                                                 const IndexKey& key) {
   if (BucketNode* b = find_bucket(shard, key)) return b;
-  Table* t = shard.table.load(std::memory_order_relaxed);
+  BucketTable* t = shard.table.load(std::memory_order_relaxed);
   if (++shard.bucket_nodes > t->mask + 1) {
     // Load factor 1: rebuild at double width. Collect every bucket first
     // (re-chaining destroys the old chains as it goes), then push into the
@@ -75,7 +79,7 @@ Dataspace::BucketNode* Dataspace::ensure_bucket(Shard& shard,
     // and new chain links — that mix is acyclic and every pointer stays a
     // live BucketNode, so the walk is memory-safe; it can miss or repeat
     // buckets, which version validation turns into a retry.
-    Table* grown = new Table((t->mask + 1) * 2);
+    auto* grown = new BucketTable((t->mask + 1) * 2);
     std::vector<BucketNode*> all;
     all.reserve(shard.bucket_nodes);
     for (std::size_t slot = 0; slot <= t->mask; ++slot) {
@@ -91,7 +95,7 @@ Dataspace::BucketNode* Dataspace::ensure_bucket(Shard& shard,
       slot.store(b, std::memory_order_release);
     }
     shard.table.store(grown, std::memory_order_release);
-    epoch::retire(t, [](void* p) { delete static_cast<Table*>(p); });
+    epoch::retire(t, [](void* p) { delete static_cast<BucketTable*>(p); });
     t = grown;
     // Index statistics drifted (population doubled past this table's
     // capacity) — advance the epoch so cached query plans re-compile.
@@ -105,15 +109,58 @@ Dataspace::BucketNode* Dataspace::ensure_bucket(Shard& shard,
   return b;
 }
 
-Dataspace::Node* Dataspace::link_record(BucketNode& bucket, Record rec) {
+void Dataspace::grow_seconds(Shard& shard) {
+  // Re-chain slot by slot, reading each node's old successor before its
+  // link is rewritten; no node is ever on two new chains. A reader
+  // mid-walk on the old table can cross from an old link onto a new one.
+  // That mix is acyclic: old links point forward in this re-chain order,
+  // new links point back to nodes re-chained earlier, and a new link is
+  // release-published after everything it reaches was re-chained — so
+  // once a walk follows a new link it only moves backward. Every node it
+  // reaches is live or EBR-protected; what it misses or repeats, version
+  // validation rejects (growth runs inside the commit's odd window).
+  SecondTable* t = shard.seconds.load(std::memory_order_relaxed);
+  auto* grown = new SecondTable((t->mask + 1) * 2);
+  for (std::size_t old_slot = 0; old_slot <= t->mask; ++old_slot) {
+    Node* n = t->slots[old_slot].load(std::memory_order_relaxed);
+    while (n != nullptr) {
+      Node* const old_next = n->next_second.load(std::memory_order_relaxed);
+      auto& slot = grown->slots[second_slot(*grown, n->bucket->key,
+                                            n->rec.tuple[1].hash())];
+      Node* const head = slot.load(std::memory_order_relaxed);
+      if (head != nullptr) head->prev_second = n;
+      n->prev_second = nullptr;
+      n->next_second.store(head, std::memory_order_release);
+      slot.store(n, std::memory_order_release);
+      n = old_next;
+    }
+  }
+  shard.seconds.store(grown, std::memory_order_release);
+  epoch::retire(t, [](void* p) { delete static_cast<SecondTable*>(p); });
+}
+
+void Dataspace::link_record(Shard& shard, BucketNode& bucket, Record rec) {
   Node* n = new Node;
   n->rec = std::move(rec);
+  n->bucket = &bucket;
+  if (n->rec.tuple.arity() >= 2) {
+    SecondTable* t = shard.seconds.load(std::memory_order_relaxed);
+    if (++shard.indexed > t->mask + 1) {
+      grow_seconds(shard);
+      t = shard.seconds.load(std::memory_order_relaxed);
+    }
+    auto& slot =
+        t->slots[second_slot(*t, bucket.key, n->rec.tuple[1].hash())];
+    Node* head = slot.load(std::memory_order_relaxed);
+    n->next_second.store(head, std::memory_order_relaxed);
+    if (head != nullptr) head->prev_second = n;
+    slot.store(n, std::memory_order_release);  // publish fully-formed
+  }
   Node* head = bucket.head.load(std::memory_order_relaxed);
   n->next.store(head, std::memory_order_relaxed);
   if (head != nullptr) head->prev = n;
   bucket.position.emplace(n->rec.id, n);
   bucket.head.store(n, std::memory_order_release);  // publish fully-formed
-  return n;
 }
 
 TupleId Dataspace::insert(Tuple t, ProcessId owner) {
@@ -126,9 +173,7 @@ TupleId Dataspace::insert(Tuple t, ProcessId owner) {
   shard.next_sequence.store(local + 1, std::memory_order_relaxed);
   const TupleId id(owner, local * shard_count_ + si);
 
-  BucketNode* bucket = ensure_bucket(shard, key);
-  if (t.arity() >= 2) bucket->by_second[t[1].hash()].push_back(id);
-  link_record(*bucket, Record{id, std::move(t)});
+  link_record(shard, *ensure_bucket(shard, key), Record{id, std::move(t)});
   Shard::bump(shard.live);
   Shard::bump(shard.asserts);
   return id;
@@ -141,28 +186,31 @@ bool Dataspace::erase(const IndexKey& key, TupleId id) {
   auto pit = bucket->position.find(id);
   if (pit == bucket->position.end()) return false;
   Node* n = pit->second;
-
-  if (n->rec.tuple.arity() >= 2) {
-    auto sit = bucket->by_second.find(n->rec.tuple[1].hash());
-    if (sit != bucket->by_second.end()) {
-      auto& ids = sit->second;
-      ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
-      if (ids.empty()) bucket->by_second.erase(sit);
-    }
-  }
   bucket->position.erase(pit);
 
-  // Unlink. The node's own `next` is left intact so a reader standing on
-  // it can finish its walk; the node is retired, not freed — a concurrent
-  // optimistic reader may still dereference it until the grace period
-  // expires (caller holds an epoch::Guard, which makes the grace argument
-  // sound — see epoch.hpp "Why writers pin too").
+  // Unlink from both chains. The node's own forward links are left intact
+  // so a reader standing on it can finish its walk; the node is retired,
+  // not freed — a concurrent optimistic reader may still dereference it
+  // until the grace period expires (caller holds an epoch::Guard, which
+  // makes the grace argument sound — see epoch.hpp "Why writers pin too").
   Node* succ = n->next.load(std::memory_order_relaxed);
   if (succ != nullptr) succ->prev = n->prev;
   if (n->prev != nullptr) {
     n->prev->next.store(succ, std::memory_order_release);
   } else {
     bucket->head.store(succ, std::memory_order_release);
+  }
+  if (n->rec.tuple.arity() >= 2) {
+    Node* succ2 = n->next_second.load(std::memory_order_relaxed);
+    if (succ2 != nullptr) succ2->prev_second = n->prev_second;
+    if (n->prev_second != nullptr) {
+      n->prev_second->next_second.store(succ2, std::memory_order_release);
+    } else {
+      SecondTable* t = shard.seconds.load(std::memory_order_relaxed);
+      t->slots[second_slot(*t, key, n->rec.tuple[1].hash())].store(
+          succ2, std::memory_order_release);
+    }
+    --shard.indexed;
   }
   epoch::retire(n, [](void* p) { delete static_cast<Node*>(p); });
 
@@ -199,23 +247,26 @@ void Dataspace::scan_key_second(const IndexKey& key, const Value& second,
   const Shard& shard = shards_[shard_of(key)];
   const BucketNode* bucket = find_bucket(shard, key);
   if (bucket == nullptr) return;
-  auto sit = bucket->by_second.find(second.hash());
-  if (sit == bucket->by_second.end()) return;
-  Shard& counters = const_cast<Shard&>(shard);
-  for (const TupleId id : sit->second) {
-    Shard::bump(counters.scanned);
-    const Record& r = bucket->position.at(id)->rec;
-    // Hash collisions: verify the actual field.
-    if (r.tuple[1] != second) continue;
-    if (!fn(r)) return;
+  const SecondTable* t = shard.seconds.load(std::memory_order_acquire);
+  std::uint64_t seen = 0;
+  for (const Node* n =
+           t->slots[second_slot(*t, key, second.hash())].load(
+               std::memory_order_acquire);
+       n != nullptr; n = n->next_second.load(std::memory_order_acquire)) {
+    // The slot is shared by every (bucket, field-1 hash) that maps to it:
+    // check the owner and the actual field.
+    if (n->bucket != bucket || n->rec.tuple[1] != second) continue;
+    ++seen;
+    if (!fn(n->rec)) break;
   }
+  if (seen != 0) Shard::bump(const_cast<Shard&>(shard).scanned, seen);
 }
 
 void Dataspace::scan_arity(std::uint32_t arity, const RecordFn& fn) const {
   for (std::size_t si = 0; si < shard_count_; ++si) {
     const Shard& shard = shards_[si];
     Shard& counters = const_cast<Shard&>(shard);
-    const Table* t = shard.table.load(std::memory_order_acquire);
+    const BucketTable* t = shard.table.load(std::memory_order_acquire);
     for (std::size_t slot = 0; slot <= t->mask; ++slot) {
       for (const BucketNode* b =
                t->slots[slot].load(std::memory_order_acquire);
@@ -240,7 +291,7 @@ void Dataspace::scan_arity(std::uint32_t arity, const RecordFn& fn) const {
 
 void Dataspace::scan_all(const RecordFn& fn) const {
   for (std::size_t si = 0; si < shard_count_; ++si) {
-    const Table* t = shards_[si].table.load(std::memory_order_acquire);
+    const BucketTable* t = shards_[si].table.load(std::memory_order_acquire);
     for (std::size_t slot = 0; slot <= t->mask; ++slot) {
       for (const BucketNode* b =
                t->slots[slot].load(std::memory_order_acquire);
@@ -283,8 +334,7 @@ void Dataspace::restore(Tuple t, TupleId id) {
     throw std::logic_error("Dataspace::restore: id already resident: " +
                            id.to_string());
   }
-  if (t.arity() >= 2) bucket->by_second[t[1].hash()].push_back(id);
-  link_record(*bucket, Record{id, std::move(t)});
+  link_record(shard, *bucket, Record{id, std::move(t)});
   Shard::bump(shard.live);
 }
 
@@ -294,6 +344,12 @@ std::size_t Dataspace::size() const {
     n += shards_[si].live.load(std::memory_order_relaxed);
   }
   return static_cast<std::size_t>(n);
+}
+
+std::size_t Dataspace::indexed_size() const {
+  std::size_t n = 0;
+  for (std::size_t si = 0; si < shard_count_; ++si) n += shards_[si].indexed;
+  return n;
 }
 
 SpaceStats Dataspace::stats() const {

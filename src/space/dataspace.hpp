@@ -12,27 +12,33 @@
 // interchangeable, benchmarkable decision (experiments E6, E15). Buckets
 // are distributed over `shard_count` shards by IndexKey hash.
 //
-// Since ISSUE 6 the storage layout is LOCK-FREE-READABLE: each shard is an
-// open hash table of bucket nodes (chained, append-only) and each bucket
-// holds its records in a doubly-linked node list whose forward pointers
-// are atomics. That supports three access modes:
-//   * mutation (insert, erase, rebuilds) requires that shard's lock
-//     EXCLUSIVELY, and the caller must bracket the whole commit with
-//     begin_shard_write/end_shard_write (the seqlock protocol below) and
-//     hold an epoch::Guard (erase defers node frees through EBR);
-//   * locked reads (scan_*, count) require the shard at least SHARED;
+// The storage layout is LOCK-FREE-READABLE: each shard is an open hash
+// table of bucket nodes (chained, append-only) and each bucket holds its
+// records in a doubly-linked node list whose forward pointers are
+// atomics. The same record nodes are also threaded, through a second pair
+// of links, onto the shard's FIELD-1 INDEX: an open hash table of chains
+// keyed by (bucket, hash of field 1), which is what turns a pattern like
+// [acct, k, b] with `k` bound into a lookup. That supports three access
+// modes:
+//   * mutation (insert, erase, rebuilds of either table) requires that
+//     shard's lock EXCLUSIVELY, and the caller must bracket the whole
+//     commit with begin_shard_write/end_shard_write (the seqlock protocol
+//     below) and hold an epoch::Guard (erase and table growth defer frees
+//     through EBR);
+//   * locked reads (scan_*, find, count) require the shard at least SHARED;
 //   * OPTIMISTIC reads (the ShardedEngine read path) take no lock at all:
 //     inside an epoch::Guard, sample shard_version() (reject odd = writer
-//     in progress), traverse via scan_key/scan_arity, then re-validate the
-//     sampled versions — identical ⇒ the traversal observed a consistent
-//     snapshot; changed ⇒ discard and retry. scan_key_second and every
-//     writer-side auxiliary structure (position map, secondary index) are
-//     NOT optimistic-safe: they are plain containers read only under locks.
+//     in progress), traverse via scan_key, scan_key_second or scan_arity,
+//     then re-validate the sampled versions — identical ⇒ the traversal
+//     observed a consistent snapshot; changed ⇒ discard and retry. Only
+//     the writer-side `position` map (find, erase) is NOT optimistic-safe:
+//     it is a plain container read only under locks.
 // Whole-space operations (scan_arity, scan_all, snapshot) need every shard
 // held in the corresponding mode (or per-shard version validation).
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -186,12 +192,14 @@ class Dataspace {
   [[nodiscard]] const Record* find(const IndexKey& key, TupleId id) const;
 
   /// Visits only the records in bucket `key` whose SECOND field equals
-  /// `second` — a probe on the per-bucket secondary index. This is what
-  /// makes a join pattern like [label, p, l] with `p` already bound a
-  /// lookup instead of a bucket scan (the §3.3 worker-model join drops
-  /// from O(N³) to O(N²) on it). Caller holds that shard's lock — the
-  /// secondary index is a writer-side plain container, NOT safe for
-  /// optimistic readers (they fall back to a filtered scan_key).
+  /// `second` — one walk of a field-1 index chain. This is what makes a
+  /// join pattern like [label, p, l] with `p` already bound a lookup
+  /// instead of a bucket scan (the §3.3 worker-model join drops from
+  /// O(N³) to O(N²) on it). A chain can also hold other buckets' records
+  /// and other field-1 values that share its slot; the walk checks both
+  /// and counts only the records it resolves to as scanned. Same contract
+  /// as scan_key: caller holds that shard's lock (shared suffices) OR is
+  /// an optimistic reader inside an epoch::Guard with version validation.
   void scan_key_second(const IndexKey& key, const Value& second,
                        const RecordFn& fn) const;
 
@@ -225,6 +233,10 @@ class Dataspace {
   /// exact when the caller holds all shard locks).
   [[nodiscard]] std::size_t size() const;
 
+  /// Number of instances on the field-1 index, i.e. those of arity >= 2
+  /// (caller must hold every shard lock or be otherwise quiescent).
+  [[nodiscard]] std::size_t indexed_size() const;
+
   /// Count of instances structurally equal to `t` (caller holds the
   /// relevant shard lock).
   [[nodiscard]] std::size_t count(const Tuple& t) const;
@@ -238,23 +250,31 @@ class Dataspace {
   [[nodiscard]] SpaceStats stats() const;
 
  private:
-  /// One resident record. `next` is the unlocked-traversal pointer
-  /// (atomic, release-published); `prev` is writer-only (only ever
-  /// touched under the shard's exclusive lock) so it stays plain.
-  /// Unlinked nodes keep their `next` intact — a reader standing on a
-  /// just-retracted node can still finish its walk.
+  struct BucketNode;
+
+  /// One resident record, linked into two chains: its bucket's list
+  /// (`next`/`prev`) and, for arity >= 2, a field-1 index chain
+  /// (`next_second`/`prev_second`). The `next*` links are the
+  /// unlocked-traversal pointers (atomic, release-published); the `prev*`
+  /// links are writer-only (only ever touched under the shard's exclusive
+  /// lock) so they stay plain. Unlinked nodes keep their forward links
+  /// intact — a reader standing on a just-retracted node can still finish
+  /// its walk of either chain.
   struct Node {
     Record rec;
+    const BucketNode* bucket = nullptr;  // owner; outlives every Node
     std::atomic<Node*> next{nullptr};
+    std::atomic<Node*> next_second{nullptr};
     Node* prev = nullptr;
+    Node* prev_second = nullptr;
   };
 
   /// One bucket. Allocated on first insert of its key and never freed
   /// until the Dataspace dies (an emptied bucket is a tombstone that the
   /// next insert of the same key revives) — that is what lets readers
-  /// traverse the bucket chains without coordination. `position` and
-  /// `by_second` are writer-side auxiliaries: plain containers, mutated
-  /// under the exclusive lock, read only under (at least shared) locks.
+  /// traverse the bucket chains without coordination. `position` is a
+  /// writer-side auxiliary: a plain container, mutated under the exclusive
+  /// lock, read only under (at least shared) locks.
   struct BucketNode {
     explicit BucketNode(const IndexKey& k) : key(k) {}
     const IndexKey key;
@@ -262,23 +282,25 @@ class Dataspace {
     std::atomic<BucketNode*> chain{nullptr};  // hash-slot chain link
     /// TupleId -> node (writer-only; O(1) erase).
     std::unordered_map<TupleId, Node*> position;
-    /// hash(second field) -> ids; empty for arity < 2 buckets (writer-only
-    /// mutation, locked readers only).
-    std::unordered_map<std::uint64_t, std::vector<TupleId>> by_second;
   };
 
-  /// A shard's bucket index: open hashing with per-slot BucketNode chains.
-  /// Grown by doubling under the exclusive lock; the superseded table
-  /// array is EBR-retired because readers may still be walking it (they
-  /// may then miss or repeat buckets — version validation rejects the
-  /// attempt; memory safety is what matters here).
+  /// An open hash table of atomic chain heads, grown by doubling under the
+  /// exclusive lock. Two per shard: bucket nodes chained through
+  /// BucketNode::chain, and record nodes chained through Node::next_second
+  /// (the field-1 index). A superseded table is EBR-retired because
+  /// readers may still be walking it (they may then miss or repeat
+  /// entries — version validation rejects the attempt; memory safety is
+  /// what matters here).
+  template <class Link>
   struct Table {
     explicit Table(std::size_t slot_count)
         : mask(slot_count - 1),
-          slots(std::make_unique<std::atomic<BucketNode*>[]>(slot_count)) {}
+          slots(std::make_unique<std::atomic<Link*>[]>(slot_count)) {}
     const std::size_t mask;
-    std::unique_ptr<std::atomic<BucketNode*>[]> slots;
+    std::unique_ptr<std::atomic<Link*>[]> slots;
   };
+  using BucketTable = Table<BucketNode>;
+  using SecondTable = Table<Node>;
 
   /// Per-shard state. Bucket mutation (and the asserts/retracts/live
   /// counters) happens only under this shard's EXCLUSIVE lock — a single
@@ -293,10 +315,15 @@ class Dataspace {
   /// on its own cache line: optimistic readers hammer it with loads and
   /// sharing it with writer-updated counters would bounce the line.
   struct Shard {
-    std::atomic<Table*> table{nullptr};
+    std::atomic<BucketTable*> table{nullptr};
+    std::atomic<SecondTable*> seconds{nullptr};  // the field-1 index
     std::size_t bucket_nodes = 0;  // writer-only: BucketNodes ever created
     alignas(64) std::atomic<std::uint64_t> version{0};
     alignas(64) std::atomic<std::uint64_t> next_sequence{1};
+    // Writer-only: Nodes on `seconds` chains. Bumped on every insert and
+    // erase, so it sits with the commit counters, not on the line of the
+    // table pointers every reader loads.
+    std::size_t indexed = 0;
     std::atomic<std::uint64_t> live{0};
     std::atomic<std::uint64_t> asserts{0};
     std::atomic<std::uint64_t> retracts{0};
@@ -312,8 +339,25 @@ class Dataspace {
 
   /// Slot index of `key` in `t`. The shard selector consumed the hash's
   /// low bits, so the table consumes the next ones up.
-  [[nodiscard]] std::size_t slot_of(const Table& t, const IndexKey& key) const {
+  [[nodiscard]] std::size_t slot_of(const BucketTable& t,
+                                    const IndexKey& key) const {
     return (key.hash() >> shard_bits_) & t.mask;
+  }
+
+  /// Field-1 index slot of (bucket `key`, field-1 hash `second_hash`):
+  /// the XOR of every mask-wide chunk of the combined hash. An integer's
+  /// hash is nearly the integer, so within one bucket consecutive keys land
+  /// in neighbouring slots (a walk over them stays in cache), while keys
+  /// that differ only in high bits, such as multiples of a power of two,
+  /// still spread over the table.
+  static std::size_t second_slot(const SecondTable& t, const IndexKey& key,
+                                 std::size_t second_hash) {
+    const int width = std::popcount(t.mask);
+    std::size_t folded = 0;
+    for (std::size_t h = key.hash() ^ second_hash; h != 0; h >>= width) {
+      folded ^= h;
+    }
+    return folded & t.mask;
   }
 
   /// Bucket lookup by chain walk (readers and writers alike; writers see
@@ -324,8 +368,13 @@ class Dataspace {
   /// Writer-only: find-or-create, growing the table at load factor 1.
   BucketNode* ensure_bucket(Shard& shard, const IndexKey& key);
 
-  /// Writer-only: link a fresh node at the bucket's head (release-publish).
-  Node* link_record(BucketNode& bucket, Record rec);
+  /// Writer-only: link a fresh node at the head of its bucket and (arity
+  /// >= 2) of its field-1 chain, growing the field-1 table at load
+  /// factor 1 first (release-publish).
+  void link_record(Shard& shard, BucketNode& bucket, Record rec);
+
+  /// Writer-only: rebuild the field-1 table at double width.
+  void grow_seconds(Shard& shard);
 
   std::unique_ptr<Shard[]> shards_;  // Shard is immovable (atomics)
   std::size_t shard_count_;

@@ -1,4 +1,4 @@
-#include "linda/linda.hpp"
+#include "linda.hpp"
 
 #include <gtest/gtest.h>
 

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <unordered_set>
+#include <vector>
 
 namespace sdl {
 namespace {
@@ -223,6 +224,103 @@ TEST(DataspaceTest, SecondIndexSurvivesSwapRemoveChurn) {
                       });
     EXPECT_EQ(seen, 5) << "second=" << s;
   }
+}
+
+/// Records in bucket `key` whose field 1 equals `second`, via the index.
+std::vector<Tuple> probe(const Dataspace& d, const IndexKey& key,
+                         const Value& second) {
+  std::vector<Tuple> out;
+  d.scan_key_second(key, second, [&](const Record& r) {
+    out.push_back(r.tuple);
+    return true;
+  });
+  return out;
+}
+
+TEST(DataspaceTest, SecondIndexExactAcrossGrowthEraseAllAndReinsert) {
+  // One shard, so every record shares one field-1 table: 3,000 records
+  // double it from 8 slots past 2,048 — nine rebuilds.
+  Dataspace d(1);
+  const IndexKey key = IndexKey::of_head(3, Value::atom("g"));
+  constexpr int kN = 3000;
+  std::vector<TupleId> ids;
+  for (int i = 0; i < kN; ++i) {
+    ids.push_back(d.insert(tup("g", i % 1000, i), 0));
+  }
+  EXPECT_EQ(d.indexed_size(), static_cast<std::size_t>(kN));
+  for (int s = 0; s < 1000; s += 37) {
+    const std::vector<Tuple> got = probe(d, key, Value(s));
+    ASSERT_EQ(got.size(), 3u) << "second=" << s;
+    for (const Tuple& t : got) EXPECT_EQ(t[1], Value(s));
+  }
+  const std::uint64_t before = d.stats().records_scanned;
+  EXPECT_EQ(probe(d, key, Value(kN)).size(), 0u);
+  EXPECT_EQ(d.stats().records_scanned, before) << "a miss resolves nothing";
+
+  for (const TupleId id : ids) ASSERT_TRUE(d.erase(key, id));
+  EXPECT_EQ(d.indexed_size(), 0u);
+  for (int s = 0; s < 1000; s += 37) {
+    EXPECT_TRUE(probe(d, key, Value(s)).empty()) << "second=" << s;
+  }
+
+  for (int i = 0; i < kN; ++i) d.insert(tup("g", i, -i), 0);
+  for (int s = 0; s < kN; s += 101) {
+    const std::vector<Tuple> got = probe(d, key, Value(s));
+    ASSERT_EQ(got.size(), 1u) << "second=" << s;
+    EXPECT_EQ(got[0], tup("g", s, -s));
+  }
+}
+
+TEST(DataspaceTest, SecondIndexKeepsBucketsApartWithinAShard) {
+  // One shard, 64 heads at two arities, every record with field 1 = 7:
+  // 128 (bucket, field-1) pairs in a 128-slot table must share chains, and
+  // each probe must still see only its own bucket's record.
+  Dataspace d(1);
+  constexpr int kHeads = 64;
+  for (int h = 0; h < kHeads; ++h) {
+    d.insert(tup(h, 7, h), 0);
+    d.insert(tup(h, 7), 0);
+  }
+  for (int h = 0; h < kHeads; ++h) {
+    const std::vector<Tuple> three =
+        probe(d, IndexKey::of_head(3, Value(h)), Value(7));
+    ASSERT_EQ(three.size(), 1u) << "head=" << h;
+    EXPECT_EQ(three[0], tup(h, 7, h));
+    const std::vector<Tuple> two =
+        probe(d, IndexKey::of_head(2, Value(h)), Value(7));
+    ASSERT_EQ(two.size(), 1u) << "head=" << h;
+    EXPECT_EQ(two[0], tup(h, 7));
+    EXPECT_TRUE(probe(d, IndexKey::of_head(3, Value(h)), Value(8)).empty());
+  }
+  EXPECT_TRUE(probe(d, IndexKey::of_head(3, Value(kHeads)), Value(7)).empty());
+}
+
+TEST(DataspaceTest, RestoreFillsSecondIndex) {
+  Dataspace d(4);
+  for (int i = 0; i < 100; ++i) {
+    d.restore(tup("r", i, i * 3),
+              TupleId(/*owner=*/1, static_cast<std::uint64_t>(i) * 4));
+  }
+  EXPECT_EQ(d.indexed_size(), 100u);
+  const std::vector<Tuple> got =
+      probe(d, IndexKey::of_head(3, Value::atom("r")), Value(42));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], tup("r", 42, 126));
+}
+
+TEST(DataspaceTest, ArityOneTuplesStayOutOfSecondIndex) {
+  Dataspace d(2);
+  std::vector<TupleId> ids;
+  for (int i = 0; i < 100; ++i) ids.push_back(d.insert(tup(i), 0));
+  d.insert(tup(), 0);
+  EXPECT_EQ(d.indexed_size(), 0u);
+  d.insert(tup("two", 1), 0);
+  EXPECT_EQ(d.indexed_size(), 1u);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_TRUE(d.erase(IndexKey::of(tup(static_cast<int>(i))), ids[i]));
+  }
+  EXPECT_EQ(d.indexed_size(), 1u);
+  EXPECT_TRUE(probe(d, IndexKey::of_head(1, Value(3)), Value(3)).empty());
 }
 
 TEST(DataspaceTest, RestoreAdvancesOriginatingShardNotBucketShard) {

@@ -121,6 +121,34 @@ TEST_F(OptimisticReadTest, ProbeUsesOptimisticPath) {
       << "probe should answer from the lock-free path";
 }
 
+TEST_F(OptimisticReadTest, PointReadProbesIndexNotBucket) {
+  // [acct, k, b] with k bound: the lock-free path probes the field-1
+  // index, so a read resolves one record, not half the bucket.
+  constexpr int kAccounts = 4096;
+  for (int k = 0; k < kAccounts; ++k) space.insert(tup("acct", k, k * 10), 0);
+  SymbolTable st;
+  Env env;
+  Transaction read = prep(TxnBuilder().exists({"b"}).match(
+                              pat({A("acct"), V("k"), V("b")})),
+                          st, env);
+  const auto k_slot = static_cast<std::size_t>(*st.lookup("k"));
+  const auto b_slot = static_cast<std::size_t>(*st.lookup("b"));
+  constexpr int kReads = 1000;
+  const std::uint64_t before = space.stats().records_scanned;
+  for (int i = 0; i < kReads; ++i) {
+    const int k = (i * 4093) % kAccounts;
+    env[k_slot] = Value(k);
+    ASSERT_TRUE(engine.execute(read, env, 1).success) << "k=" << k;
+    ASSERT_EQ(env[b_slot], Value(k * 10));
+  }
+  EXPECT_EQ(engine.stats().read_optimistic.load(),
+            static_cast<std::uint64_t>(kReads));
+  EXPECT_EQ(engine.stats().read_fallbacks.load(), 0u);
+  EXPECT_LE(space.stats().records_scanned - before,
+            static_cast<std::uint64_t>(2 * kReads))
+      << "point reads scanned the bucket instead of probing the index";
+}
+
 TEST_F(OptimisticReadTest, BlindAssertCommitsAndPublishes) {
   SymbolTable st;
   Env env;
@@ -219,6 +247,96 @@ TEST_F(OptimisticReadTest, ReadersNeverObserveTornCommits) {
   EXPECT_GT(engine.stats().read_optimistic.load() +
                 engine.stats().read_fallbacks.load(),
             0u);
+}
+
+TEST_F(OptimisticReadTest, PointReadsRaceSecondIndexChurn) {
+  // Writers retract and re-assert [c, s, v] under the same (head, field
+  // 1) while a grower floods the same bucket with other field-1 values,
+  // doubling the shard's field-1 table many times mid-read. Values encode
+  // their key (v % kKeys == s) and only grow, so a reader can tell a
+  // record of the wrong key, a torn or uncommitted value, and a rollback.
+  constexpr std::int64_t kKeys = 16;
+  constexpr int kWriters = 2;
+  constexpr int kPerWriter = 300;
+  constexpr int kGrow = 2048;
+  constexpr int kReaders = 3;
+  constexpr int kPerReader = 600;
+  for (std::int64_t s = 0; s < kKeys; ++s) space.insert(tup("c", s, s), 0);
+  {
+    std::vector<std::jthread> workers;
+    for (int w = 0; w < kWriters; ++w) {
+      workers.emplace_back([&, w] {
+        SymbolTable st;
+        Env env;
+        Transaction bump = prep(TxnBuilder(TxnType::Delayed)
+                                    .exists({"v"})
+                                    .match(pat({A("c"), V("s"), V("v")}), true)
+                                    .assert_tuple({lit(Value::atom("c")),
+                                                   evar("s"),
+                                                   add(evar("v"), lit(kKeys))}),
+                                st, env);
+        const auto s_slot = static_cast<std::size_t>(*st.lookup("s"));
+        for (int i = 0; i < kPerWriter; ++i) {
+          env[s_slot] = Value(static_cast<std::int64_t>((i * 7 + w) % kKeys));
+          ASSERT_TRUE(execute_blocking(engine, bump, env,
+                                       static_cast<ProcessId>(w + 1))
+                          .success);
+        }
+      });
+    }
+    workers.emplace_back([&] {
+      SymbolTable st;
+      Env env;
+      Transaction put = prep(TxnBuilder().assert_tuple(
+                                 {lit(Value::atom("c")), evar("n"), lit(-1)}),
+                             st, env);
+      const auto n_slot = static_cast<std::size_t>(*st.lookup("n"));
+      for (int i = 0; i < kGrow; ++i) {
+        env[n_slot] = Value(static_cast<std::int64_t>(kKeys + i));
+        ASSERT_TRUE(engine.execute(put, env, kWriters + 1).success);
+      }
+    });
+    for (int t = 0; t < kReaders; ++t) {
+      workers.emplace_back([&, t] {
+        SymbolTable st;
+        Env env;
+        Transaction read = prep(TxnBuilder().forall({"v"}).match(
+                                    pat({A("c"), V("s"), V("v")})),
+                                st, env);
+        const auto s_slot = static_cast<std::size_t>(*st.lookup("s"));
+        const auto v_slot = static_cast<std::size_t>(*st.lookup("v"));
+        std::vector<std::int64_t> last(kKeys, -1);
+        for (int i = 0; i < kPerReader; ++i) {
+          const std::int64_t s = (i * 5 + t) % kKeys;
+          env[s_slot] = Value(s);
+          const TxnResult r = engine.execute(
+              read, env, static_cast<ProcessId>(kWriters + 2 + t));
+          ASSERT_TRUE(r.success);
+          ASSERT_EQ(r.matches.size(), 1u)
+              << "key " << s << " must have exactly one resident tuple";
+          const std::int64_t v = r.matches[0].binding[v_slot].as_int();
+          ASSERT_EQ(v % kKeys, s) << "index returned another key's tuple";
+          ASSERT_GE(v, last[static_cast<std::size_t>(s)])
+              << "reader observed a rollback";
+          last[static_cast<std::size_t>(s)] = v;
+        }
+      });
+    }
+  }
+  std::int64_t bumps = 0;
+  for (std::int64_t s = 0; s < kKeys; ++s) {
+    int resident = 0;
+    space.scan_key_second(IndexKey::of_head(3, Value::atom("c")), Value(s),
+                          [&](const Record& r) {
+                            bumps += (r.tuple[2].as_int() - s) / kKeys;
+                            ++resident;
+                            return true;
+                          });
+    EXPECT_EQ(resident, 1) << "s=" << s;
+  }
+  EXPECT_EQ(bumps, kWriters * kPerWriter) << "lost or duplicated update";
+  EXPECT_EQ(space.size(), static_cast<std::size_t>(kKeys + kGrow));
+  EXPECT_GT(engine.stats().read_optimistic.load(), 0u);
 }
 
 TEST_F(OptimisticReadTest, ScanStormOverChurningBucketIsMemorySafe) {
