@@ -137,7 +137,7 @@ void BM_PointReadOptimistic(benchmark::State& state) {
     env[k_slot] = Value(probe++ % size);
     benchmark::DoNotOptimize(engine.execute(read, env, ProcessId{1}).success);
   }
-  if (engine.stats().read_optimistic.load() !=
+  if (engine.stats().read_optimistic() !=
       static_cast<std::uint64_t>(state.iterations())) {
     state.SkipWithError("a point read left the optimistic path");
   }

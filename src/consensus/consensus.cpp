@@ -330,24 +330,11 @@ bool ConsensusManager::sweep_once() {
         //         partial effects). ----
         std::vector<std::vector<Tuple>> to_insert(plans.size());
         for (std::size_t pi = 0; pi < plans.size(); ++pi) {
+          // An Exists winner's binding is still in its member's env.
           const MemberPlan& plan = plans[pi];
-          Process* p = plan.node->p;
-          for (const QueryMatch& m : plan.outcome.matches) {
-            for (const AssertTemplate& a : plan.txn->asserts) {
-              std::vector<Value> fields;
-              fields.reserve(a.fields.size());
-              for (const ExprPtr& fexpr : a.fields) {
-                fields.push_back(fexpr->eval(m.binding, fns));
-              }
-              Tuple t(std::move(fields));
-              if (p->view_ptr() != nullptr &&
-                  !p->view_ptr()->exports_everything()) {
-                Env scratch = m.binding;
-                if (!p->view_ptr()->exports_tuple(t, scratch, fns)) continue;
-              }
-              to_insert[pi].push_back(std::move(t));
-            }
-          }
+          const Process* p = plan.node->p;
+          materialize_asserts(*plan.txn, plan.outcome, p->env, p->view_ptr(),
+                              fns, to_insert[pi]);
         }
         // WAL: a consensus fire is ONE atomic record — every member's
         // retractions and assertions under the common fire ordinal, logged

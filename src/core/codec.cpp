@@ -158,7 +158,7 @@ Tuple Reader::get_tuple() {
     ok_ = false;
     return Tuple();
   }
-  std::vector<Value> fields;
+  Tuple::Fields fields;
   fields.reserve(static_cast<std::size_t>(arity));
   for (std::uint64_t i = 0; i < arity && ok_; ++i) fields.push_back(get_value());
   if (!ok_) return Tuple();

@@ -12,9 +12,11 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/small_vector.hpp"
 #include "core/value.hpp"
 
 namespace sdl {
@@ -53,18 +55,33 @@ class TupleId {
 };
 
 /// An immutable sequence of values — the unit of dataspace content.
-/// Cheap to move; copying copies the field vector.
+/// Up to kInlineFields fields live in the object itself, so a resident
+/// record's fields sit next to its index links: a point read that walks
+/// to a record reads its fields without a second dependent cache miss.
 class Tuple {
  public:
+  static constexpr std::size_t kInlineFields = 3;
+  /// The field storage; build one to construct a Tuple without a copy.
+  using Fields = SmallVector<Value, kInlineFields>;
+
   Tuple() = default;
-  explicit Tuple(std::vector<Value> fields) : fields_(std::move(fields)) {}
-  Tuple(std::initializer_list<Value> fields) : fields_(fields) {}
+  explicit Tuple(Fields fields) : fields_(std::move(fields)) {}
+  explicit Tuple(std::vector<Value> fields) {
+    fields_.reserve(fields.size());
+    for (Value& v : fields) fields_.push_back(std::move(v));
+  }
+  Tuple(std::initializer_list<Value> fields) {
+    fields_.reserve(fields.size());
+    for (const Value& v : fields) fields_.push_back(v);
+  }
 
   [[nodiscard]] std::size_t arity() const { return fields_.size(); }
   [[nodiscard]] bool empty() const { return fields_.empty(); }
   [[nodiscard]] const Value& operator[](std::size_t i) const { return fields_[i]; }
-  [[nodiscard]] const Value& at(std::size_t i) const { return fields_.at(i); }
-  [[nodiscard]] const std::vector<Value>& fields() const { return fields_; }
+  [[nodiscard]] const Value& at(std::size_t i) const {
+    if (i >= fields_.size()) throw std::out_of_range("sdl::Tuple::at");
+    return fields_[i];
+  }
 
   [[nodiscard]] auto begin() const { return fields_.begin(); }
   [[nodiscard]] auto end() const { return fields_.end(); }
@@ -83,7 +100,7 @@ class Tuple {
   [[nodiscard]] std::string to_string() const;
 
  private:
-  std::vector<Value> fields_;
+  Fields fields_;
 };
 
 std::ostream& operator<<(std::ostream& os, const Tuple& t);
@@ -102,7 +119,7 @@ Value detail_make_field(T&& x) {
 ///   (use std::string{} for genuine string values).
 template <typename... Fields>
 Tuple tup(Fields&&... fields) {
-  std::vector<Value> v;
+  Tuple::Fields v;
   v.reserve(sizeof...(fields));
   (v.push_back(detail_make_field(std::forward<Fields>(fields))), ...);
   return Tuple(std::move(v));

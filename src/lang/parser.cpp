@@ -1,5 +1,7 @@
 #include "lang/parser.hpp"
 
+#include <algorithm>
+
 #include <array>
 #include <fstream>
 #include <sstream>
@@ -20,8 +22,12 @@ class Parser {
     return txn;
   }
 
-  Program parse() {
+  /// `brackets` bounds the number of init tuples (each opens with '['),
+  /// so the seed vector is sized once: growing it would move every tuple
+  /// parsed so far, and a Tuple carries its fields inline.
+  Program parse(std::size_t brackets) {
     Program program;
+    program.seeds.reserve(brackets);
     while (!at(Tok::End)) {
       if (at(Tok::KwProcess)) {
         program.defs.push_back(parse_process());
@@ -116,8 +122,7 @@ class Parser {
 
   Tuple parse_const_tuple() {
     expect(Tok::LBracket, "'['");
-    std::vector<Value> fields;
-    fields.reserve(3);  // init tuples are mostly pairs and triples
+    Tuple::Fields fields;  // init tuples are mostly pairs and triples
     if (!at(Tok::RBracket)) {
       do {
         fields.push_back(parse_const());
@@ -515,7 +520,8 @@ class Parser {
 
 Program parse_program(const std::string& source) {
   Parser parser(source);
-  return parser.parse();
+  return parser.parse(
+      static_cast<std::size_t>(std::count(source.begin(), source.end(), '[')));
 }
 
 Transaction parse_transaction(const std::string& source,

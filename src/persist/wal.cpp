@@ -85,6 +85,15 @@ bool decode_commit(std::string_view payload, WalCommit* out) {
   return r.ok() && r.at_end();
 }
 
+/// The record kind and seq alone: the CRC already vouched for the rest.
+bool decode_seq(std::string_view payload, std::uint64_t* seq) {
+  codec::Reader r(payload);
+  const std::uint8_t kind = r.get_u8();
+  if (kind != kRecordCommit && kind != kRecordReplMark) return false;
+  *seq = r.get_varint();
+  return r.ok();
+}
+
 }  // namespace
 
 std::string wal_segment_name(std::uint64_t start_seq) {
@@ -94,7 +103,7 @@ std::string wal_segment_name(std::uint64_t start_seq) {
   return buf;
 }
 
-WalFrameParse parse_wal_frame(std::string_view data) {
+WalFrameParse parse_wal_frame(std::string_view data, WalFrameDecode decode) {
   WalFrameParse out;
   if (data.size() < 8) {
     // A crash can land the file size anywhere inside the preallocated
@@ -140,7 +149,10 @@ WalFrameParse parse_wal_frame(std::string_view data) {
     out.detail = "record crc mismatch";
     return out;
   }
-  if (!decode_commit(payload, &out.commit)) {
+  const bool decoded = decode == WalFrameDecode::Full
+                           ? decode_commit(payload, &out.commit)
+                           : decode_seq(payload, &out.commit.seq);
+  if (!decoded) {
     out.status = WalFrameStatus::Corrupt;
     out.detail = "undecodable record";
     return out;

@@ -143,7 +143,14 @@ struct WalFrameParse {
   WalCommit commit;      // decoded record when status==Ok
   std::string detail;    // human-readable reason for Torn/Corrupt
 };
-WalFrameParse parse_wal_frame(std::string_view data);
+/// How much of an Ok frame's payload parse_wal_frame decodes.
+enum class WalFrameDecode {
+  Full,     // the whole record
+  SeqOnly,  // kind and seq only (commit.seq is all that is set): what the
+            // replication tailer needs to gate and forward raw frames
+};
+WalFrameParse parse_wal_frame(std::string_view data,
+                              WalFrameDecode decode = WalFrameDecode::Full);
 
 class WalWriter {
  public:

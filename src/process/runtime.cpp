@@ -95,11 +95,11 @@ void Runtime::register_gauges() {
   metrics_registry_.gauge("sdl_tuples_retracted_total",
                           [this] { return space_.stats().retracts; });
   metrics_registry_.gauge("sdl_txn_attempts_total",
-                          [this] { return engine_->stats().attempts.load(); });
+                          [this] { return engine_->stats().attempts(); });
   metrics_registry_.gauge("sdl_txn_commits_total",
-                          [this] { return engine_->stats().commits.load(); });
+                          [this] { return engine_->stats().commits(); });
   metrics_registry_.gauge("sdl_txn_failures_total",
-                          [this] { return engine_->stats().failures.load(); });
+                          [this] { return engine_->stats().failures(); });
   metrics_registry_.gauge("sdl_wakes_delivered_total",
                           [this] { return waits_.wakes_delivered(); });
   metrics_registry_.gauge("sdl_processes_spawned_total",
@@ -356,9 +356,9 @@ Runtime::Stats Runtime::stats() const {
   s.tuples_resident = space_.size();
   s.tuples_asserted = space_.stats().asserts;
   s.tuples_retracted = space_.stats().retracts;
-  s.txn_attempts = engine_->stats().attempts.load();
-  s.txn_commits = engine_->stats().commits.load();
-  s.txn_failures = engine_->stats().failures.load();
+  s.txn_attempts = engine_->stats().attempts();
+  s.txn_commits = engine_->stats().commits();
+  s.txn_failures = engine_->stats().failures();
   s.wakes_delivered = waits_.wakes_delivered();
   s.processes_spawned = scheduler_->total_spawned();
   s.processes_completed = scheduler_->total_completed();

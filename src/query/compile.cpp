@@ -1,7 +1,10 @@
 #include "query/compile.hpp"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
+
+#include "core/epoch.hpp"
 
 namespace sdl {
 
@@ -363,11 +366,11 @@ int max_regs(const std::vector<StepPlan>& steps, const vm::ExprProgram& guard) {
   return n;
 }
 
-std::shared_ptr<const MatchProgram> compile_program(
+std::unique_ptr<MatchProgram> compile_program(
     const Query& q, const BindingSignature& sig,
     const std::vector<std::int32_t>& sig_slots, std::uint64_t stats_epoch,
     std::size_t seed_idx) {
-  auto prog = std::make_shared<MatchProgram>();
+  auto prog = std::make_unique<MatchProgram>();
   prog->quantifier = q.quantifier;
   prog->pattern_count = q.patterns.size();
   prog->sig = sig;
@@ -389,14 +392,17 @@ std::shared_ptr<const MatchProgram> compile_program(
 
   // Negations run per complete outer assignment: every outer pattern
   // variable is bound by then, which `bound` now reflects.
+  std::size_t widest_negation = 0;
   for (const NegatedGroup& g : q.negations) {
     NegProgram np;
     BoundSet nb = bound;
     np.steps = compile_join(g.patterns, q.use_planner, PlanCache::kNoSeed, nb);
     compile_expr(g.guard, np.guard);
     prog->num_regs = std::max(prog->num_regs, max_regs(np.steps, np.guard));
+    widest_negation = std::max(widest_negation, np.steps.size());
     prog->negations.push_back(std::move(np));
   }
+  prog->chosen_slots = prog->pattern_count + widest_negation;
   return prog;
 }
 
@@ -404,63 +410,165 @@ std::shared_ptr<const MatchProgram> compile_program(
 
 // ---- Plan cache ----
 
-PlanCache::PlanCache(const Query& q) {
+namespace {
+
+void delete_program(void* p) { delete static_cast<const MatchProgram*>(p); }
+
+}  // namespace
+
+PlanCache::PlanCache(const Query& q) : snapshot_(new Snapshot) {
   collect_sig_slots(q.patterns, sig_slots_);
   for (const NegatedGroup& g : q.negations) {
     collect_sig_slots(g.patterns, sig_slots_);
   }
 }
 
-std::shared_ptr<const MatchProgram> PlanCache::acquire(
-    const Query& q, const Env& env, std::uint64_t stats_epoch,
-    std::size_t seed_idx) {
-  PlanCacheStats& stats = plan_cache_stats();
+PlanCache::~PlanCache() {
+  // The owning query is going away, so nobody can be evaluating it: the
+  // live snapshot and its programs are freed directly. Anything retired
+  // earlier is still the reclamation layer's to free.
+  const Snapshot* snap = snapshot_.load(std::memory_order_acquire);
+  for (std::size_t i = 0; i < snap->size; ++i) delete snap->entries[i];
+  delete snap;
+}
+
+const MatchProgram* PlanCache::find(const Snapshot& snap,
+                                    const BindingSignature& sig,
+                                    std::size_t seed_idx, bool planner) {
+  for (std::size_t i = 0; i < snap.size; ++i) {
+    const MatchProgram* e = snap.entries[i];
+    if (e->sig == sig && e->seed_idx == seed_idx && e->planner == planner) {
+      return e;
+    }
+  }
+  return nullptr;
+}
+
+const MatchProgram* PlanCache::acquire(const Query& q, const Env& env,
+                                       std::uint64_t stats_epoch,
+                                       std::size_t seed_idx) {
   BindingSignature sig;
   if (sig_slots_.size() > 64) sig.high.resize((sig_slots_.size() - 1) / 64);
   for (std::size_t i = 0; i < sig_slots_.size(); ++i) {
     const auto slot = static_cast<std::size_t>(sig_slots_[i]);
     if (slot < env.size() && !env[slot].is_nil()) sig.set(i);
   }
-
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    const MatchProgram& e = **it;
-    if (e.sig != sig || e.seed_idx != seed_idx || e.planner != q.use_planner) {
-      continue;
-    }
-    if (e.stats_epoch != stats_epoch) {
-      // Index statistics drifted (bucket table resized) since this plan
-      // was built — drop it and recompile below.
-      entries_.erase(it);
-      stats.invalidations.add();
-      break;
-    }
-    stats.hits.add();
-    return *it;
+  // The hit path: one acquire load of the published snapshot. The
+  // caller's Guard keeps it, and the program returned from it, alive.
+  const MatchProgram* hit = find(*snapshot_.load(std::memory_order_acquire),
+                                 sig, seed_idx, q.use_planner);
+  if (hit != nullptr && hit->stats_epoch == stats_epoch) {
+    plan_cache_stats().hits.add();
+    return hit;
   }
+  return compile_and_publish(q, sig, stats_epoch, seed_idx);
+}
+
+const MatchProgram* PlanCache::compile_and_publish(const Query& q,
+                                                   const BindingSignature& sig,
+                                                   std::uint64_t stats_epoch,
+                                                   std::size_t seed_idx) {
+  PlanCacheStats& stats = plan_cache_stats();
+  std::lock_guard<std::mutex> lock(mu_);
+  // Writers are serialized here, so the snapshot cannot change under us.
+  const Snapshot* cur = snapshot_.load(std::memory_order_relaxed);
+  const MatchProgram* raced = find(*cur, sig, seed_idx, q.use_planner);
+  if (raced != nullptr && raced->stats_epoch == stats_epoch) {
+    // Another thread compiled this key while we waited for the lock.
+    stats.hits.add();
+    return raced;
+  }
+
+  // Compile before touching the entries: if compilation throws, the
+  // published snapshot and everything it points to stay intact.
+  std::unique_ptr<const MatchProgram> prog =
+      compile_program(q, sig, sig_slots_, stats_epoch, seed_idx);
   stats.misses.add();
   stats.compiles.add();
-  auto prog = compile_program(q, sig, sig_slots_, stats_epoch, seed_idx);
-  if (entries_.size() >= 16) entries_.erase(entries_.begin());
-  entries_.push_back(prog);
-  return prog;
+
+  // The new snapshot drops the stale entry for this key (index
+  // statistics drifted since it was built) and, when full, the oldest.
+  auto next = std::make_unique<Snapshot>();
+  const MatchProgram* evicted = nullptr;
+  for (std::size_t i = 0; i < cur->size; ++i) {
+    if (cur->entries[i] != raced) next->entries[next->size++] = cur->entries[i];
+  }
+  if (next->size == kCapacity) {
+    evicted = next->entries[0];
+    std::copy(next->entries.begin() + 1, next->entries.end(),
+              next->entries.begin());
+    --next->size;
+  }
+  next->entries[next->size++] = prog.get();
+  snapshot_.store(next.release(), std::memory_order_release);
+
+  // Only now unreachable for new readers: retire what was dropped.
+  for (const MatchProgram* dropped : {raced, evicted}) {
+    if (dropped != nullptr) {
+      epoch::retire(const_cast<MatchProgram*>(dropped), delete_program);
+    }
+  }
+  if (raced != nullptr) stats.invalidations.add();
+  epoch::retire(const_cast<Snapshot*>(cur),
+                [](void* p) { delete static_cast<Snapshot*>(p); });
+  return prog.release();
 }
 
 // ---- Execution ----
 
 namespace {
 
+/// Working storage of one execution: the binding undo log, the register
+/// file every ExprProgram reuses, and the join's chosen-record slots.
+/// Reused across evaluations on a thread, so a warm evaluation allocates
+/// none of them.
+struct Scratch {
+  std::vector<std::int32_t> undo;
+  std::vector<Value> regs;
+  std::vector<const Record*> chosen;
+};
+
+/// Leases this thread's scratch for one execution. Re-entrant: an
+/// execution started while another is live on the same thread (a host
+/// function that evaluates a query) gets the next frame down the stack.
+class ScratchLease {
+ public:
+  ScratchLease() {
+    if (depth_ == frames_.size()) {
+      frames_.push_back(std::make_unique<Scratch>());
+    }
+    scratch_ = frames_[depth_++].get();
+  }
+  ~ScratchLease() { --depth_; }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  [[nodiscard]] Scratch& get() const { return *scratch_; }
+
+ private:
+  static thread_local std::vector<std::unique_ptr<Scratch>> frames_;
+  static thread_local std::size_t depth_;
+  Scratch* scratch_;
+};
+
+thread_local std::vector<std::unique_ptr<Scratch>> ScratchLease::frames_;
+thread_local std::size_t ScratchLease::depth_ = 0;
+
 /// Per-evaluation machine state. `undo` is the shared binding log
 /// (negation searches splice their own marks into it), `regs` is the
-/// register file every ExprProgram reuses.
+/// register file, `chosen` the outer join's record per pattern followed
+/// by the slots the current negation search uses.
 struct Execution {
   const MatchProgram& prog;
   const TupleSource& source;
   Env& env;
   const FunctionRegistry* fns;
   const std::vector<const Record*>* seeds;
-  std::vector<std::int32_t> undo;
-  std::vector<Value> regs;
+  ScratchLease lease;
+  std::vector<std::int32_t>& undo;
+  std::span<Value> regs;
+  std::span<const Record*> chosen;      // outer join, by pattern index
+  std::span<const Record*> neg_chosen;  // the running negation's join
 
   Execution(const MatchProgram& p, const TupleSource& s, Env& e,
             const FunctionRegistry* f, const std::vector<const Record*>* sd)
@@ -469,7 +577,17 @@ struct Execution {
         env(e),
         fns(f),
         seeds(sd),
-        regs(static_cast<std::size_t>(p.num_regs)) {}
+        undo(lease.get().undo) {
+    Scratch& sc = lease.get();
+    undo.clear();
+    const auto nregs = static_cast<std::size_t>(p.num_regs);
+    if (sc.regs.size() < nregs) sc.regs.resize(nregs);
+    regs = std::span<Value>(sc.regs.data(), nregs);
+    sc.chosen.assign(p.chosen_slots, nullptr);
+    chosen = std::span<const Record*>(sc.chosen.data(), p.pattern_count);
+    neg_chosen = std::span<const Record*>(sc.chosen.data() + p.pattern_count,
+                                          p.chosen_slots - p.pattern_count);
+  }
 
   bool guard_pass(const vm::ExprProgram& g) {
     if (g.empty()) return true;
@@ -483,9 +601,9 @@ struct Execution {
     undo.resize(mark);
   }
 
-  static bool already_chosen(const std::vector<const Record*>& chosen,
+  static bool already_chosen(std::span<const Record* const> picked,
                              TupleId id) {
-    for (const Record* r : chosen) {
+    for (const Record* r : picked) {
       if (r != nullptr && r->id == id) return true;
     }
     return false;
@@ -532,22 +650,23 @@ struct Execution {
     return true;
   }
 
-  /// Runs the join from `depth`; returns false iff `cb` stopped it.
+  /// Runs the join from `depth`, recording each step's record in
+  /// `picked` (indexed by pattern); returns false iff `cb` stopped it.
   template <typename CB>
   bool run_steps(const std::vector<StepPlan>& steps,  // NOLINT(misc-no-recursion)
-                 std::vector<const Record*>& chosen, std::size_t depth,
+                 std::span<const Record*> picked, std::size_t depth,
                  const CB& cb) {
     if (depth == steps.size()) return cb();
     const StepPlan& sp = steps[depth];
     bool keep_going = true;
     auto try_record = [&](const Record& r) -> bool {
-      if (already_chosen(chosen, r.id)) return true;
+      if (already_chosen(picked, r.id)) return true;
       const std::size_t mark = undo.size();
       if (match_candidate(sp, r.tuple)) {
-        chosen[sp.pattern_idx] = &r;
-        keep_going = run_steps(steps, chosen, depth + 1, cb);
+        picked[sp.pattern_idx] = &r;
+        keep_going = run_steps(steps, picked, depth + 1, cb);
         if (keep_going) {
-          chosen[sp.pattern_idx] = nullptr;
+          picked[sp.pattern_idx] = nullptr;
           undo_to(mark);
         }
       }
@@ -602,10 +721,11 @@ struct Execution {
 
   /// Witness search for a negated group; its bindings never escape.
   bool negation_holds(const NegProgram& np) {  // NOLINT(misc-no-recursion)
-    std::vector<const Record*> nchosen(np.steps.size(), nullptr);
+    const std::span<const Record*> picked = neg_chosen.first(np.steps.size());
+    std::fill(picked.begin(), picked.end(), nullptr);
     const std::size_t mark = undo.size();
     bool witness = false;
-    run_steps(np.steps, nchosen, 0, [&]() -> bool {
+    run_steps(np.steps, picked, 0, [&]() -> bool {
       if (!guard_pass(np.guard)) return true;
       witness = true;
       return false;
@@ -613,22 +733,23 @@ struct Execution {
     undo_to(mark);
     return !witness;
   }
-};
 
-QueryMatch build_match(const MatchProgram& prog,
-                       const std::vector<const Record*>& chosen,
-                       const Env& env) {
-  QueryMatch m;
-  m.binding = env;
-  for (std::size_t i = 0; i < prog.pattern_count; ++i) {
-    if (chosen[i] == nullptr) continue;
-    m.reads.push_back(chosen[i]->id);
-    if (prog.retract[i] != 0) {
-      m.retract.emplace_back(IndexKey::of(chosen[i]->tuple), chosen[i]->id);
+  /// The match the outer join's current assignment forms. Only ForAll
+  /// copies the environment: an Exists winner's binding stays in env.
+  [[nodiscard]] QueryMatch build_match() const {
+    QueryMatch m;
+    if (prog.quantifier == Quantifier::ForAll) m.binding = env;
+    m.reads.reserve(prog.pattern_count);
+    for (std::size_t i = 0; i < prog.pattern_count; ++i) {
+      if (chosen[i] == nullptr) continue;
+      m.reads.push_back(chosen[i]->id);
+      if (prog.retract[i] != 0) {
+        m.retract.emplace_back(IndexKey::of(chosen[i]->tuple), chosen[i]->id);
+      }
     }
+    return m;
   }
-  return m;
-}
+};
 
 }  // namespace
 
@@ -636,15 +757,14 @@ QueryOutcome vm_execute(const MatchProgram& prog, const TupleSource& source,
                         Env& env, const FunctionRegistry* fns) {
   Execution ex(prog, source, env, fns, nullptr);
   QueryOutcome out;
-  std::vector<const Record*> chosen(prog.pattern_count, nullptr);
 
   if (prog.quantifier == Quantifier::Exists) {
-    const bool stopped = !ex.run_steps(prog.steps, chosen, 0, [&]() -> bool {
+    const bool stopped = !ex.run_steps(prog.steps, ex.chosen, 0, [&]() -> bool {
       if (!ex.guard_pass(prog.guard)) return true;
       for (const NegProgram& np : prog.negations) {
         if (!ex.negation_holds(np)) return true;
       }
-      out.matches.push_back(build_match(prog, chosen, env));
+      out.matches.push_back(ex.build_match());
       return false;  // first satisfying assignment wins
     });
     // A stopped enumeration leaves the winning bindings in env (action
@@ -654,7 +774,7 @@ QueryOutcome vm_execute(const MatchProgram& prog, const TupleSource& source,
   }
 
   bool violated = false;
-  ex.run_steps(prog.steps, chosen, 0, [&]() -> bool {
+  ex.run_steps(prog.steps, ex.chosen, 0, [&]() -> bool {
     if (!ex.guard_pass(prog.guard)) {
       violated = true;
       return false;
@@ -665,7 +785,7 @@ QueryOutcome vm_execute(const MatchProgram& prog, const TupleSource& source,
         return false;
       }
     }
-    out.matches.push_back(build_match(prog, chosen, env));
+    out.matches.push_back(ex.build_match());
     return true;
   });
   if (violated) {
@@ -680,9 +800,8 @@ bool vm_satisfiable_seeded(const MatchProgram& prog, const TupleSource& source,
                            Env& env, const FunctionRegistry* fns,
                            const std::vector<const Record*>& seeds) {
   Execution ex(prog, source, env, fns, &seeds);
-  std::vector<const Record*> chosen(prog.pattern_count, nullptr);
   bool witness = false;
-  ex.run_steps(prog.steps, chosen, 0, [&]() -> bool {
+  ex.run_steps(prog.steps, ex.chosen, 0, [&]() -> bool {
     if (!ex.guard_pass(prog.guard)) return true;
     witness = true;
     return false;

@@ -26,6 +26,8 @@
 // evaluator as the specification the differential harness checks against.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -120,6 +122,9 @@ struct MatchProgram {
   vm::ExprProgram guard;              // empty = always true
   std::vector<NegProgram> negations;
   int num_regs = 0;  // max register demand across all ExprPrograms
+  /// Join slots one execution needs: pattern_count for the outer join plus
+  /// the widest negated group's (negations run one at a time).
+  std::size_t chosen_slots = 0;
 
   // Cache key.
   BindingSignature sig;
@@ -149,33 +154,70 @@ PlanCacheStats& plan_cache_stats();
 /// keyed by (binding signature, seed index, planner flag, index-statistics
 /// epoch); an epoch bump — the dataspace resized a bucket table, i.e. its
 /// population drifted materially — invalidates on next lookup.
+///
+/// Lookups are lock-free: the cache publishes an immutable snapshot of its
+/// entries through an atomic pointer, and a hit reads it and returns a
+/// borrowed program — no mutex, no reference count. The mutex serializes
+/// only compile-on-miss, which publishes a fresh snapshot. A superseded
+/// snapshot, and every program evicted (past kCapacity entries) or
+/// invalidated (epoch drift), is epoch::retire'd, so a reader still
+/// holding it stays safe until its Guard drops.
 class PlanCache {
  public:
   static constexpr std::size_t kNoSeed = static_cast<std::size_t>(-1);
+  /// Entries kept per query; the oldest is evicted past this.
+  static constexpr std::size_t kCapacity = 16;
 
   explicit PlanCache(const Query& q);
+  ~PlanCache();
+  PlanCache(const PlanCache&) = delete;
+  PlanCache& operator=(const PlanCache&) = delete;
 
   /// Returns the compiled program for the current binding signature,
   /// compiling on miss. `q` must be the (shape-identical) query this cache
-  /// was built from; `env` must already have locals cleared.
-  [[nodiscard]] std::shared_ptr<const MatchProgram> acquire(
-      const Query& q, const Env& env, std::uint64_t stats_epoch,
-      std::size_t seed_idx);
+  /// was built from; `env` must already have locals cleared. The caller
+  /// must hold an epoch::Guard taken before this call: the program is
+  /// borrowed, and stays valid until that Guard drops (and while the
+  /// cache lives).
+  [[nodiscard]] const MatchProgram* acquire(const Query& q, const Env& env,
+                                            std::uint64_t stats_epoch,
+                                            std::size_t seed_idx);
 
  private:
+  /// Immutable once published; programs are owned by the cache, not by
+  /// the snapshot (successive snapshots share them).
+  struct Snapshot {
+    std::array<const MatchProgram*, kCapacity> entries{};
+    std::size_t size = 0;
+  };
+
+  /// The entry for this key in `snap`, whatever its epoch; null if none.
+  [[nodiscard]] static const MatchProgram* find(const Snapshot& snap,
+                                                const BindingSignature& sig,
+                                                std::size_t seed_idx,
+                                                bool planner);
+  /// The miss path: under mu_, re-checks, compiles, publishes.
+  const MatchProgram* compile_and_publish(const Query& q,
+                                          const BindingSignature& sig,
+                                          std::uint64_t stats_epoch,
+                                          std::size_t seed_idx);
+
   /// Every slot whose boundness can change the plan: pattern variables and
   /// the variables computed pattern terms read (outer and negated).
   std::vector<std::int32_t> sig_slots_;
-  std::mutex mu_;
-  std::vector<std::shared_ptr<const MatchProgram>> entries_;
+  std::mutex mu_;  // serializes compile_and_publish (writers only)
+  std::atomic<const Snapshot*> snapshot_;
 };
 
 /// Compiles `e` into `out` (appending nothing else); exposed for tests.
 void compile_expr(const ExprPtr& e, vm::ExprProgram& out);
 
 /// Executes a compiled program. `env` is working storage exactly as for
-/// Query::evaluate: on Exists-success the winning binding stays in env;
-/// all other outcomes leave every binding the program made undone.
+/// Query::evaluate: on Exists-success the winning binding stays in env
+/// (and the match carries no copy of it); all other outcomes leave every
+/// binding the program made undone. The undo log, registers and join
+/// slots come from re-entrant thread-local scratch, so a warm execution
+/// allocates only what it returns.
 [[nodiscard]] QueryOutcome vm_execute(const MatchProgram& prog,
                                       const TupleSource& source, Env& env,
                                       const FunctionRegistry* fns);

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/epoch.hpp"
 #include "query/compile.hpp"
 
 namespace sdl {
@@ -38,7 +39,8 @@ QueryOutcome Query::evaluate(const TupleSource& source, Env& env,
                              const FunctionRegistry* fns) const {
   PlanCache& cache = plans(plan_cache_);
   clear_locals(env);
-  const auto prog =
+  const epoch::Guard guard;  // keeps the borrowed program alive
+  const MatchProgram* prog =
       cache.acquire(*this, env, source.stats_epoch(), PlanCache::kNoSeed);
   QueryOutcome out = vm_execute(*prog, source, env, fns);
   // On Exists-success env keeps the winning bindings: action expressions
@@ -63,7 +65,9 @@ bool Query::satisfiable_seeded(const TupleSource& source, Env& env,
   // Plans are keyed by seed index as well as signature. Bindings never
   // escape — a positive answer falls through to the full execute(), which
   // rebinds from scratch under the same locks.
-  const auto prog = cache.acquire(*this, env, source.stats_epoch(), seed_idx);
+  const epoch::Guard guard;  // keeps the borrowed program alive
+  const MatchProgram* prog =
+      cache.acquire(*this, env, source.stats_epoch(), seed_idx);
   const bool witness = vm_satisfiable_seeded(*prog, source, env, fns, seeds);
   clear_locals(env);
   return witness;

@@ -2,9 +2,11 @@
 // tuple patterns), the test_query (a guard expression), negated subqueries
 // ('~' composition), and the existential/universal quantifier.
 //
-// Evaluation is against a TupleSource — either the raw dataspace or a
-// process's view window (src/view) — always under the issuing engine's
-// locks, so sources may hand out stable references.
+// Evaluation is against a TupleSource. DataspaceSource (the raw
+// dataspace) and WindowSource (a process's view window, src/view) run
+// under the issuing engine's locks and may hand out stable references.
+// OptimisticSource runs with no lock at all, inside an epoch::Guard, and
+// its results count only once validate() passes (the lock-free read path).
 #pragma once
 
 #include <atomic>
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/small_vector.hpp"
 #include "query/pattern.hpp"
 
 namespace sdl {
@@ -33,16 +36,16 @@ class TupleSource {
   [[nodiscard]] virtual std::uint64_t stats_epoch() const { return 0; }
 
   /// Visit records in the bucket `key`; stop early if fn returns false.
-  virtual void scan_key(const IndexKey& key, const Dataspace::RecordFn& fn) const = 0;
+  virtual void scan_key(const IndexKey& key, Dataspace::RecordFn fn) const = 0;
 
   /// Visit records of the given arity across all buckets.
-  virtual void scan_arity(std::uint32_t arity, const Dataspace::RecordFn& fn) const = 0;
+  virtual void scan_arity(std::uint32_t arity, Dataspace::RecordFn fn) const = 0;
 
   /// Visit records in bucket `key` whose second field equals `second`.
   /// Default: filtered scan_key; sources backed by the dataspace override
   /// with the secondary-index probe.
   virtual void scan_key_second(const IndexKey& key, const Value& second,
-                               const Dataspace::RecordFn& fn) const {
+                               Dataspace::RecordFn fn) const {
     scan_key(key, [&](const Record& r) {
       if (r.tuple.arity() < 2 || r.tuple[1] != second) return true;
       return fn(r);
@@ -57,14 +60,14 @@ class DataspaceSource final : public TupleSource {
   [[nodiscard]] std::uint64_t stats_epoch() const override {
     return space_.stats_epoch();
   }
-  void scan_key(const IndexKey& key, const Dataspace::RecordFn& fn) const override {
+  void scan_key(const IndexKey& key, Dataspace::RecordFn fn) const override {
     space_.scan_key(key, fn);
   }
-  void scan_arity(std::uint32_t arity, const Dataspace::RecordFn& fn) const override {
+  void scan_arity(std::uint32_t arity, Dataspace::RecordFn fn) const override {
     space_.scan_arity(arity, fn);
   }
   void scan_key_second(const IndexKey& key, const Value& second,
-                       const Dataspace::RecordFn& fn) const override {
+                       Dataspace::RecordFn fn) const override {
     space_.scan_key_second(key, second, fn);
   }
 
@@ -100,16 +103,16 @@ class OptimisticSource final : public TupleSource {
     return space_.stats_epoch();
   }
 
-  void scan_key(const IndexKey& key, const Dataspace::RecordFn& fn) const override {
+  void scan_key(const IndexKey& key, Dataspace::RecordFn fn) const override {
     if (!touch(space_.shard_of(key))) return;
     space_.scan_key(key, fn);
   }
   void scan_key_second(const IndexKey& key, const Value& second,
-                       const Dataspace::RecordFn& fn) const override {
+                       Dataspace::RecordFn fn) const override {
     if (!touch(space_.shard_of(key))) return;
     space_.scan_key_second(key, second, fn);
   }
-  void scan_arity(std::uint32_t arity, const Dataspace::RecordFn& fn) const override {
+  void scan_arity(std::uint32_t arity, Dataspace::RecordFn fn) const override {
     // Arity-wide scans cross every shard; sample them all.
     for (std::size_t si = 0; si < space_.shard_count(); ++si) {
       if (!touch(si)) return;
@@ -133,9 +136,6 @@ class OptimisticSource final : public TupleSource {
     return true;
   }
 
-  /// Shards this attempt sampled (stats/tests).
-  [[nodiscard]] std::size_t shards_touched() const { return sampled_.size(); }
-
  private:
   bool touch(std::size_t si) const {
     if (failed_) return false;
@@ -153,8 +153,10 @@ class OptimisticSource final : public TupleSource {
 
   const Dataspace& space_;
   /// (shard, sampled version); linear-searched — read txns touch few
-  /// shards, and a map would cost more than it saves.
-  mutable std::vector<std::pair<std::size_t, std::uint64_t>> sampled_;
+  /// shards, and a map would cost more than it saves. Point reads touch
+  /// one or two, so four live inline and a read allocates nothing for
+  /// them; only an arity-wide scan, which samples every shard, spills.
+  mutable SmallVector<std::pair<std::size_t, std::uint64_t>, 4> sampled_;
   mutable bool failed_ = false;
 };
 
@@ -167,23 +169,33 @@ struct NegatedGroup {
 
 enum class Quantifier { Exists, ForAll };
 
-/// One satisfying assignment of a query: the environment at match time
-/// (parameters, lets, and quantified variables all bound) plus the tuple
-/// instances tagged for retraction.
+/// One satisfying assignment of a query: the tuple instances it bound and
+/// those tagged for retraction, plus (ForAll only) its environment. The
+/// id lists keep two entries inline, so the common one- and two-pattern
+/// match allocates nothing for them.
 struct QueryMatch {
+  /// ForAll: the environment at match time (parameters, lets and the
+  /// quantified variables all bound), one per assignment. Exists: left
+  /// empty — the single winning binding stays in the env the query was
+  /// evaluated with (Query::evaluate), and that env is what action lists
+  /// and assertion templates read, so copying it here would be waste.
   Env binding;
-  std::vector<std::pair<IndexKey, TupleId>> retract;
+  SmallVector<std::pair<IndexKey, TupleId>, 2> retract;
   /// Every instance the match bound (retract-tagged or not) — the read
   /// set the serializability checker validates a commit against.
-  std::vector<TupleId> reads;
+  SmallVector<TupleId, 2> reads;
 };
+
+/// A query's matches. One inline: an Exists outcome never allocates for
+/// its match.
+using QueryMatches = SmallVector<QueryMatch, 1>;
 
 /// Result of evaluating a query. For Exists: success implies exactly one
 /// match. For ForAll: success with zero or more matches (zero = vacuous);
 /// effects are applied per match (§3.3 Label retracts *all* thresholds).
 struct QueryOutcome {
   bool success = false;
-  std::vector<QueryMatch> matches;
+  QueryMatches matches;
 };
 
 /// A complete SDL query. Build, then resolve() once against the owning
@@ -214,7 +226,10 @@ class Query {
 
   /// Evaluates against `source` with the process environment `env`, by
   /// running the cached match program for env's binding signature
-  /// (src/query/compile.hpp). Throws std::logic_error before resolve().
+  /// (src/query/compile.hpp). The program is borrowed from the plan cache
+  /// without a lock, under an epoch::Guard held for the call (re-entrant:
+  /// inside the optimistic read path's own Guard it costs a depth
+  /// increment). Throws std::logic_error before resolve().
   /// `env` is used as working storage: local slots are cleared on entry;
   /// on Exists-success, env retains the successful binding (so subsequent
   /// action expressions can read the quantified variables). On failure and

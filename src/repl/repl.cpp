@@ -20,8 +20,6 @@ namespace sdl::repl {
 
 namespace {
 
-constexpr std::size_t kReadChunk = 256 * 1024;
-
 // Appends up to `len` bytes of `fd`, read from `base + buf->size()`, to
 // `buf`; returns how many arrived (fewer only at the end of the file).
 std::size_t read_more(int fd, std::uint64_t base, std::size_t len,
@@ -190,6 +188,7 @@ ReplLeaderStats ReplLeader::stats() const {
   out.batches_sent = batches_sent_.load(std::memory_order_relaxed);
   out.snapshots_sent = snapshots_sent_.load(std::memory_order_relaxed);
   out.backpressure_hits = backpressure_hits_.load(std::memory_order_relaxed);
+  out.tail_bytes_read = tail_bytes_read_.load(std::memory_order_relaxed);
   const std::uint64_t shippable = persist_->shippable_seq();
   std::uint64_t min_acked = shippable;
   bool any_live = false;
@@ -276,6 +275,7 @@ void ReplLeader::session_main(Session* s) {
   int fd = -1;
   std::uint64_t cur_start = 0;
   std::uint64_t file_off = 0;
+  std::size_t frame_hint = 256;  // size of the last frame shipped
   std::string buf;
   const auto close_seg = [&] {
     if (fd >= 0) ::close(fd);
@@ -354,11 +354,24 @@ void ReplLeader::session_main(Session* s) {
       file_off = persist::kWalHeaderSize;
     }
 
-    // Read the live tail and assemble one batch of raw frames.
+    // Read the live tail and assemble one batch of raw frames. The
+    // segment's tail is preallocated zeros, so the window is sized to
+    // what the durable frames past the cursor should occupy (their count
+    // times the last frame's size) rather than a fixed span of mostly
+    // padding; a frame that runs past the window extends it. Frames are
+    // checked by length, CRC and seq only — the follower decodes them.
     buf.clear();
-    while (buf.size() < opts_.max_batch_bytes + kReadChunk) {
-      if (read_more(fd, file_off, kReadChunk, &buf) < kReadChunk) break;
-    }
+    const auto pending_bytes = [&] {
+      return static_cast<std::size_t>(
+          std::min<std::uint64_t>((shippable - next + 1) * frame_hint,
+                                  opts_.max_batch_bytes));
+    };
+    const auto fetch = [&](std::size_t len) {
+      const std::size_t got = read_more(fd, file_off, len, &buf);
+      tail_bytes_read_.fetch_add(got, std::memory_order_relaxed);
+      return got;
+    };
+    fetch(pending_bytes());
 
     std::string frames;
     std::uint64_t first = 0;
@@ -366,17 +379,18 @@ void ReplLeader::session_main(Session* s) {
     std::size_t consumed = 0;
     bool clean_end = false;
     bool corrupt = false;
-    bool fetched_whole = false;
-    while (consumed < buf.size()) {
-      persist::WalFrameParse p =
-          persist::parse_wal_frame(std::string_view(buf).substr(consumed));
-      if (p.status == persist::WalFrameStatus::Torn && consumed == 0 &&
-          p.size > buf.size() && !fetched_whole) {
-        // The head frame is larger than the read window: re-reading the
-        // window would find it torn forever. Fetch it whole (the parse
-        // bounds its declared size) and ship it as a batch of one.
-        fetched_whole = true;
-        read_more(fd, file_off, p.size - buf.size(), &buf);
+    while (next <= shippable && frames.size() < opts_.max_batch_bytes) {
+      const std::string_view rest = std::string_view(buf).substr(consumed);
+      const persist::WalFrameParse p =
+          persist::parse_wal_frame(rest, persist::WalFrameDecode::SeqOnly);
+      // The window ends inside this frame's header or payload: extend it
+      // (by at least the rest of the frame) unless the file ends here.
+      const std::size_t short_by =
+          rest.size() < 8 ? 8 - rest.size()
+          : p.status == persist::WalFrameStatus::Torn && p.size > rest.size()
+              ? p.size - rest.size()
+              : 0;
+      if (short_by != 0 && fetch(std::max(short_by, pending_bytes())) != 0) {
         continue;
       }
       if (p.status == persist::WalFrameStatus::Ok) {
@@ -386,16 +400,15 @@ void ReplLeader::session_main(Session* s) {
           frames.append(buf, consumed, p.size);
           last = p.commit.seq;
           next = p.commit.seq + 1;
+          frame_hint = p.size;
         }
         consumed += p.size;
-        if (frames.size() >= opts_.max_batch_bytes) break;
         continue;
       }
       if (p.status == persist::WalFrameStatus::Corrupt) corrupt = true;
       if (p.status == persist::WalFrameStatus::End) clean_end = true;
       break;  // Torn: a racing pwrite — re-read next round
     }
-    if (buf.empty()) clean_end = true;
     file_off += consumed;
 
     if (!frames.empty()) {

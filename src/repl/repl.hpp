@@ -102,6 +102,7 @@ struct ReplLeaderStats {
   std::uint64_t lag_records = 0;      // shippable_seq - min_acked_seq
   std::uint64_t lag_bytes = 0;        // unacked bytes across live sessions
   std::uint64_t backpressure_hits = 0;  // lag_exceeded() observed true
+  std::uint64_t tail_bytes_read = 0;    // WAL bytes the tailers pread
 };
 
 /// Owns one session thread per attached follower. Each session is fed by
@@ -176,6 +177,7 @@ class ReplLeader {
   std::atomic<std::uint64_t> sessions_started_{0};
   std::atomic<std::uint64_t> sessions_ended_{0};
   std::atomic<std::uint64_t> backpressure_hits_{0};
+  std::atomic<std::uint64_t> tail_bytes_read_{0};
 };
 
 struct ReplFollowerStats {

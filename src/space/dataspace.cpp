@@ -140,9 +140,7 @@ void Dataspace::grow_seconds(Shard& shard) {
 }
 
 void Dataspace::link_record(Shard& shard, BucketNode& bucket, Record rec) {
-  Node* n = new Node;
-  n->rec = std::move(rec);
-  n->bucket = &bucket;
+  Node* n = new Node{std::move(rec), &bucket};
   if (n->rec.tuple.arity() >= 2) {
     SecondTable* t = shard.seconds.load(std::memory_order_relaxed);
     if (++shard.indexed > t->mask + 1) {
@@ -219,7 +217,7 @@ bool Dataspace::erase(const IndexKey& key, TupleId id) {
   return true;
 }
 
-void Dataspace::scan_key(const IndexKey& key, const RecordFn& fn) const {
+void Dataspace::scan_key(const IndexKey& key, RecordFn fn) const {
   const Shard& shard = shards_[shard_of(key)];
   const BucketNode* bucket = find_bucket(shard, key);
   if (bucket == nullptr) return;
@@ -243,7 +241,7 @@ const Record* Dataspace::find(const IndexKey& key, TupleId id) const {
 }
 
 void Dataspace::scan_key_second(const IndexKey& key, const Value& second,
-                                const RecordFn& fn) const {
+                                RecordFn fn) const {
   const Shard& shard = shards_[shard_of(key)];
   const BucketNode* bucket = find_bucket(shard, key);
   if (bucket == nullptr) return;
@@ -262,7 +260,7 @@ void Dataspace::scan_key_second(const IndexKey& key, const Value& second,
   if (seen != 0) Shard::bump(const_cast<Shard&>(shard).scanned, seen);
 }
 
-void Dataspace::scan_arity(std::uint32_t arity, const RecordFn& fn) const {
+void Dataspace::scan_arity(std::uint32_t arity, RecordFn fn) const {
   for (std::size_t si = 0; si < shard_count_; ++si) {
     const Shard& shard = shards_[si];
     Shard& counters = const_cast<Shard&>(shard);
@@ -289,7 +287,7 @@ void Dataspace::scan_arity(std::uint32_t arity, const RecordFn& fn) const {
   }
 }
 
-void Dataspace::scan_all(const RecordFn& fn) const {
+void Dataspace::scan_all(RecordFn fn) const {
   for (std::size_t si = 0; si < shard_count_; ++si) {
     const BucketTable* t = shards_[si].table.load(std::memory_order_acquire);
     for (std::size_t slot = 0; slot <= t->mask; ++slot) {

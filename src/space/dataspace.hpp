@@ -45,6 +45,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/function_ref.hpp"
 #include "core/tuple.hpp"
 
 namespace sdl {
@@ -173,14 +174,16 @@ class Dataspace {
   /// EBR, not freed, because unlocked readers may still be traversing it.
   bool erase(const IndexKey& key, TupleId id);
 
-  using RecordFn = std::function<bool(const Record&)>;  // return false to stop
+  /// Scan visitor; return false to stop. A non-owning reference, so a
+  /// scan never allocates for its callback (src/core/function_ref.hpp).
+  using RecordFn = FunctionRef<bool(const Record&)>;
 
   // --------------------------------------------------------------- reads
 
   /// Visits every record in bucket `key`. Caller holds that shard's lock
   /// (shared mode suffices) OR is an optimistic reader inside an
   /// epoch::Guard with version validation (see file comment).
-  void scan_key(const IndexKey& key, const RecordFn& fn) const;
+  void scan_key(const IndexKey& key, RecordFn fn) const;
 
   /// O(1) lookup of a resident instance by bucket + id — the incremental
   /// wakeup path's delta-liveness probe (src/query/incremental.hpp):
@@ -201,14 +204,14 @@ class Dataspace {
   /// as scan_key: caller holds that shard's lock (shared suffices) OR is
   /// an optimistic reader inside an epoch::Guard with version validation.
   void scan_key_second(const IndexKey& key, const Value& second,
-                       const RecordFn& fn) const;
+                       RecordFn fn) const;
 
   /// Visits every record whose tuple has `arity` (crosses all shards —
   /// caller holds every shard lock, or validates every shard version).
-  void scan_arity(std::uint32_t arity, const RecordFn& fn) const;
+  void scan_arity(std::uint32_t arity, RecordFn fn) const;
 
   /// Visits every record (caller must hold every shard lock).
-  void scan_all(const RecordFn& fn) const;
+  void scan_all(RecordFn fn) const;
 
   /// Full-space walk for serialization (snapshots): visits every record,
   /// no early-stop, no scan-counter noise. Caller must hold every shard

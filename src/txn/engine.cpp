@@ -187,9 +187,32 @@ Engine::ReplApplyOutcome Engine::apply_replicated(
   return out;
 }
 
+void materialize_asserts(const Transaction& txn, const QueryOutcome& outcome,
+                         const Env& env, const View* view,
+                         const FunctionRegistry* fns,
+                         std::vector<Tuple>& out) {
+  const bool exists = txn.query.quantifier == Quantifier::Exists;
+  for (const QueryMatch& m : outcome.matches) {
+    const Env& binding = exists ? env : m.binding;
+    for (const AssertTemplate& a : txn.asserts) {
+      Tuple::Fields fields;
+      fields.reserve(a.fields.size());
+      for (const ExprPtr& f : a.fields) fields.push_back(f->eval(binding, fns));
+      Tuple t(std::move(fields));
+      // Export filter: D' keeps only Export(p) ∩ Wa.
+      if (view != nullptr && !view->exports_everything()) {
+        Env scratch = binding;
+        if (!view->exports_tuple(t, scratch, fns)) continue;  // dropped
+      }
+      out.push_back(std::move(t));
+    }
+  }
+}
+
 std::vector<IndexKey> Engine::apply_effects(const Transaction& txn,
                                             const QueryOutcome& outcome,
-                                            ProcessId owner, const View* view,
+                                            const Env& env, ProcessId owner,
+                                            const View* view,
                                             std::vector<TupleId>& asserted,
                                             bool tolerate_missing_retract,
                                             DurableEffects* durable,
@@ -199,20 +222,7 @@ std::vector<IndexKey> Engine::apply_effects(const Transaction& txn,
   // transaction with the dataspace untouched — "transactions ... either
   // succeed or have no effect on the dataspace" (§2.2).
   std::vector<Tuple> to_insert;
-  for (const QueryMatch& m : outcome.matches) {
-    for (const AssertTemplate& a : txn.asserts) {
-      std::vector<Value> fields;
-      fields.reserve(a.fields.size());
-      for (const ExprPtr& f : a.fields) fields.push_back(f->eval(m.binding, fns_));
-      Tuple t(std::move(fields));
-      // Export filter: D' keeps only Export(p) ∩ Wa.
-      if (view != nullptr && !view->exports_everything()) {
-        Env scratch = m.binding;
-        if (!view->exports_tuple(t, scratch, fns_)) continue;  // dropped
-      }
-      to_insert.push_back(std::move(t));
-    }
-  }
+  materialize_asserts(txn, outcome, env, view, fns_, to_insert);
 
   std::vector<IndexKey> touched;
 
@@ -320,7 +330,7 @@ TxnResult execute_blocking(Engine& engine, const Transaction& txn, Env& env,
 
 TxnResult GlobalLockEngine::execute(const Transaction& txn, Env& env,
                                     ProcessId owner, const View* view) {
-  stats_.attempts.add();
+  stats_.locked_attempts.add();
   // Once-per-txn observability gate: hoist the nullable instrument set
   // into a local; every timestamp below hides behind `m`. The span
   // instruments are *sampled* (1-in-SDL_OBS_SAMPLE per thread): full span
@@ -351,7 +361,6 @@ TxnResult GlobalLockEngine::execute(const Transaction& txn, Env& env,
       lock.lock();
     }
     const std::uint64_t t_locked = m != nullptr ? obs::now_ns() : 0;
-    result.version = waits_.version();
     QueryOutcome outcome = evaluate_query(txn, env, view);
     const std::uint64_t t_eval = m != nullptr ? obs::now_ns() : 0;
     if (m != nullptr) m->txn_evaluate_ns->record(t_eval - t_locked);
@@ -359,7 +368,7 @@ TxnResult GlobalLockEngine::execute(const Transaction& txn, Env& env,
       result.injected_fault = true;  // effects withheld; retry is safe
     } else if (outcome.success) {
       DurableEffects& durable = durable_scratch();
-      touched = apply_effects(txn, outcome, owner, view, result.asserted,
+      touched = apply_effects(txn, outcome, env, owner, view, result.asserted,
                               /*tolerate_missing_retract=*/false,
                               persist_ != nullptr ? &durable : nullptr,
                               want_delta ? &delta : nullptr);
@@ -375,13 +384,13 @@ TxnResult GlobalLockEngine::execute(const Transaction& txn, Env& env,
     }
   }
   if (result.success) {
-    stats_.commits.add();
+    stats_.locked_commits.add();
     if (!touched.empty()) {
       waits_.publish_batch(std::move(touched), want_delta ? &delta : nullptr);
     }
     maybe_snapshot_after_commit();
   } else {
-    stats_.failures.add();
+    stats_.locked_failures.add();
   }
   if (m != nullptr) {
     const std::uint64_t t_end = obs::now_ns();
@@ -583,7 +592,6 @@ void ShardedEngine::release(HeldLocks& held) {
 
 TxnResult ShardedEngine::execute(const Transaction& txn, Env& env,
                                  ProcessId owner, const View* view) {
-  stats_.attempts.add();
   // Once-per-txn observability gate: hoist the nullable instrument set
   // into a local; every timestamp below hides behind `m`. The span
   // instruments (and the matching per-lock acquire/contended counts that
@@ -605,16 +613,17 @@ TxnResult ShardedEngine::execute(const Transaction& txn, Env& env,
       (history_ == nullptr || !history_->enabled()) && faults_ == nullptr) {
     TxnResult result;
     if (try_optimistic_read(txn, env, result, armed)) {
-      if (result.success) {
-        stats_.commits.add();
-      } else {
-        stats_.failures.add();
-      }
+      // The read's one counter bump; attempts() and commits() or
+      // failures() derive from it.
+      (result.success ? stats_.read_optimistic_hits
+                      : stats_.read_optimistic_misses)
+          .add();
       if (m != nullptr) m->txn_total_ns->record(obs::now_ns() - t_start);
       return result;
     }
     // Validation kept failing: fall through to the shared-lock path.
   }
+  stats_.locked_attempts.add();
 
   // Commutative blind-assert path: a pure-guard, assert-only transaction
   // reads nothing from D, so its guard and assert fields evaluate OUTSIDE
@@ -638,7 +647,6 @@ TxnResult ShardedEngine::execute(const Transaction& txn, Env& env,
   if (m != nullptr) m->txn_lock_wait_ns->record(t_locked - t_wait0);
 
   TxnResult result;
-  result.version = waits_.version();
   QueryOutcome outcome = evaluate_query(txn, env, view);
   const std::uint64_t t_eval = m != nullptr ? obs::now_ns() : 0;
   if (m != nullptr) m->txn_evaluate_ns->record(t_eval - t_locked);
@@ -672,11 +680,13 @@ TxnResult ShardedEngine::execute(const Transaction& txn, Env& env,
         release(held);
         std::this_thread::sleep_for(std::chrono::microseconds(100));
         acquire(plan, held);
-        touched = apply_effects(txn, outcome, owner, view, result.asserted,
+        touched = apply_effects(txn, outcome, env, owner, view,
+                                result.asserted,
                                 /*tolerate_missing_retract=*/true, durable_out,
                                 want_delta ? &delta : nullptr);
       } else {
-        touched = apply_effects(txn, outcome, owner, view, result.asserted,
+        touched = apply_effects(txn, outcome, env, owner, view,
+                                result.asserted,
                                 /*tolerate_missing_retract=*/false, durable_out,
                                 want_delta ? &delta : nullptr);
       }
@@ -697,13 +707,13 @@ TxnResult ShardedEngine::execute(const Transaction& txn, Env& env,
   release(held);  // release before publishing (CP.22)
 
   if (result.success) {
-    stats_.commits.add();
+    stats_.locked_commits.add();
     if (!touched.empty()) {
       waits_.publish_batch(std::move(touched), want_delta ? &delta : nullptr);
     }
     maybe_snapshot_after_commit();
   } else {
-    stats_.failures.add();
+    stats_.locked_failures.add();
   }
   if (m != nullptr) {
     const std::uint64_t t_end = obs::now_ns();
@@ -736,15 +746,14 @@ bool ShardedEngine::try_optimistic_read(const Transaction& txn, Env& env,
     // dereference until the Guard drops (epoch.hpp).
     epoch::Guard guard;
     const OptimisticSource source(space_);
-    result.version = waits_.version();
     QueryOutcome outcome = txn.query.evaluate(source, env, fns_);
     if (source.validate()) {
-      // The traversal observed a consistent snapshot. Matches are safe to
-      // hand out past the Guard: QueryMatch bindings deep-copy values,
-      // they never point into retired nodes.
+      // The traversal observed a consistent snapshot. The result is safe
+      // to hand out past the Guard: env and the matches hold deep-copied
+      // values and ids, never pointers into retired nodes. The caller
+      // counts it.
       result.success = outcome.success;
       result.matches = std::move(outcome.matches);
-      stats_.read_optimistic.add();
       if (armed != nullptr) armed->read_optimistic_ok->add();
       if (ctl != nullptr) ctl->on_optimistic_ok();
       return true;
@@ -770,42 +779,27 @@ TxnResult ShardedEngine::execute_blind_assert(const Transaction& txn, Env& env,
                                               obs::RuntimeMetrics* m,
                                               std::uint64_t t_start) {
   TxnResult result;
-  result.version = waits_.version();
   // Guard and assert fields read only the environment (pure_guard = no
   // patterns, no negations), so evaluate them against an empty source with
   // no locks held. A throwing field expression aborts here, D untouched.
   struct NullSource final : TupleSource {
-    void scan_key(const IndexKey&, const Dataspace::RecordFn&) const override {}
-    void scan_arity(std::uint32_t, const Dataspace::RecordFn&) const override {}
+    void scan_key(const IndexKey&, Dataspace::RecordFn) const override {}
+    void scan_arity(std::uint32_t, Dataspace::RecordFn) const override {}
   };
   const NullSource nothing;
   QueryOutcome outcome = txn.query.evaluate(nothing, env, fns_);
   const std::uint64_t t_eval = m != nullptr ? obs::now_ns() : 0;
   if (m != nullptr) m->txn_evaluate_ns->record(t_eval - t_start);
   if (!outcome.success) {
-    stats_.failures.add();
+    stats_.locked_failures.add();
     if (m != nullptr) m->txn_total_ns->record(obs::now_ns() - t_start);
     return result;
   }
   // Materialize (and export-filter) every assertion outside the locks —
-  // mirrors apply_effects' first half; the critical section below is just
-  // the links.
+  // apply_effects' first half; the critical section below is just the
+  // links.
   std::vector<Tuple> to_insert;
-  for (const QueryMatch& match : outcome.matches) {
-    for (const AssertTemplate& a : txn.asserts) {
-      std::vector<Value> fields;
-      fields.reserve(a.fields.size());
-      for (const ExprPtr& f : a.fields) {
-        fields.push_back(f->eval(match.binding, fns_));
-      }
-      Tuple t(std::move(fields));
-      if (view != nullptr && !view->exports_everything()) {
-        Env scratch = match.binding;
-        if (!view->exports_tuple(t, scratch, fns_)) continue;  // dropped
-      }
-      to_insert.push_back(std::move(t));
-    }
-  }
+  materialize_asserts(txn, outcome, env, view, fns_, to_insert);
   // The materialized tuples resolve the target shards exactly — no
   // conservative write_set, no LockPlan.
   std::vector<std::size_t> shards;
@@ -859,14 +853,15 @@ TxnResult ShardedEngine::execute_blind_assert(const Transaction& txn, Env& env,
   release(held);  // release before publishing (CP.22)
 
   if (result.success) {
-    stats_.commits.add();
+    stats_.locked_commits.add();
     stats_.blind_asserts.add();
     if (!touched.empty()) {
       waits_.publish_batch(std::move(touched), want_delta ? &delta : nullptr);
     }
     maybe_snapshot_after_commit();
   } else {
-    stats_.failures.add();  // injected faults count as failures, as in execute()
+    // Injected faults count as failures, as in execute().
+    stats_.locked_failures.add();
   }
   if (m != nullptr) {
     const std::uint64_t t_end = obs::now_ns();
@@ -884,6 +879,7 @@ bool ShardedEngine::probe(const Transaction& txn, Env& env, const View* view) {
   if (view == nullptr || view->imports_everything()) {
     TxnResult scratch;
     if (try_optimistic_read(txn, env, scratch, obs_metrics())) {
+      stats_.probe_optimistic.add();
       return scratch.success;
     }
   }

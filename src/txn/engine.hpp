@@ -76,22 +76,27 @@ struct TxnResult {
   /// (local reads are fine — they go through, eventually consistent).
   /// Nothing ran; resubmit to the leader, or after promotion.
   bool not_leader = false;
-  /// WaitSet version sampled during the attempt (diagnostics).
-  std::uint64_t version = 0;
-  /// Query matches (Exists: one; ForAll: zero or more). Bindings are
-  /// needed by callers to run action lists.
-  std::vector<QueryMatch> matches;
+  /// Query matches (Exists: one; ForAll: zero or more). Callers run
+  /// action lists against the env passed to execute() for Exists (it
+  /// keeps the winning binding) and against each match's binding for
+  /// ForAll.
+  QueryMatches matches;
   /// Ids of tuples asserted by this commit (export-filtered).
   std::vector<TupleId> asserted;
 };
 
 /// Cumulative engine counters (striped; statistics only — otherwise the
 /// per-transaction increments serialize all cores on one cache line and
-/// become the E6 scaling ceiling).
+/// become the E6 scaling ceiling). Every execute() outcome lands in
+/// exactly one of the outcome counters, so an optimistic read bumps one
+/// stripe; the totals attempts()/commits()/failures() are derived when
+/// read.
 struct EngineStats {
-  StripedCounter attempts;
-  StripedCounter commits;
-  StripedCounter failures;
+  /// execute() calls that took the locked or the blind-assert path (an
+  /// optimistic read that fell back is one of them), by outcome.
+  StripedCounter locked_attempts;
+  StripedCounter locked_commits;
+  StripedCounter locked_failures;
   /// Effect-free probe() evaluations (never counted as attempts/commits/
   /// failures — they are pre-checks, not transactions). Optimistic probes
   /// count here too; only their locked fallback takes read locks.
@@ -100,13 +105,31 @@ struct EngineStats {
   /// ground truth, always on (the obs registry mirrors them, null-gated):
   /// optimistic evaluations NEVER touch a shard lock, so they must never
   /// appear in lock-acquire instrumentation — these counters are where
-  /// they show up instead.
-  StripedCounter read_optimistic;  // validations that passed
-  StripedCounter read_retries;     // validations that failed, retried in place
-  StripedCounter read_fallbacks;   // attempts exhausted -> shared-lock path
+  /// they show up instead. Validated read transactions, by outcome:
+  StripedCounter read_optimistic_hits;    // query succeeded (a commit)
+  StripedCounter read_optimistic_misses;  // query failed (a failure)
+  StripedCounter probe_optimistic;  // probes answered by a validated read
+  StripedCounter read_retries;      // validations that failed, retried in place
+  StripedCounter read_fallbacks;    // attempts exhausted -> shared-lock path
   /// Commutative blind-assert commits (pure-guard, assert-only txns that
   /// skipped lock planning and locked only their target shards).
   StripedCounter blind_asserts;
+
+  [[nodiscard]] std::uint64_t attempts() const {
+    return locked_attempts.load() + read_optimistic_hits.load() +
+           read_optimistic_misses.load();
+  }
+  [[nodiscard]] std::uint64_t commits() const {
+    return locked_commits.load() + read_optimistic_hits.load();
+  }
+  [[nodiscard]] std::uint64_t failures() const {
+    return locked_failures.load() + read_optimistic_misses.load();
+  }
+  /// Optimistic validations that passed (read transactions and probes).
+  [[nodiscard]] std::uint64_t read_optimistic() const {
+    return read_optimistic_hits.load() + read_optimistic_misses.load() +
+           probe_optimistic.load();
+  }
 };
 
 class Engine {
@@ -261,7 +284,9 @@ class Engine {
 
   /// Shared commit path: applies `outcome`'s retractions (deduped across
   /// matches) then the assertion templates per match, export-filtered by
-  /// `view`. Must be called with sufficient locks held. Returns touched
+  /// `view`. Templates read `env` (the evaluating env, which holds an
+  /// Exists winner's binding) or, for ForAll, each match's binding. Must
+  /// be called with sufficient locks held. Returns touched
   /// keys; appends created ids to `asserted`; fills `durable` (when
   /// non-null) with the applied effect set for the WAL.
   /// `tolerate_missing_retract` is for the split_2pl sabotage path only:
@@ -273,7 +298,8 @@ class Engine {
   /// waits_.incremental_listeners() > 0, so the tuple copies are paid
   /// exactly when a parked query will consume them.
   std::vector<IndexKey> apply_effects(const Transaction& txn,
-                                      const QueryOutcome& outcome, ProcessId owner,
+                                      const QueryOutcome& outcome,
+                                      const Env& env, ProcessId owner,
                                       const View* view,
                                       std::vector<TupleId>& asserted,
                                       bool tolerate_missing_retract = false,
@@ -326,6 +352,16 @@ class Engine {
   persist::PersistManager* persist_ = nullptr;
   obs::RuntimeMetrics* metrics_ = nullptr;
 };
+
+/// Evaluates `txn`'s assertion templates for every match of `outcome`
+/// into `out`, dropping tuples outside `view`'s export set (D' keeps only
+/// Export(p) ∩ Wa). Templates read `env` for an Exists query (the env it
+/// was evaluated with keeps the winning binding) and each match's binding
+/// for ForAll. Throws what a field expression throws; `out` may then hold
+/// a prefix, which callers discard before touching the dataspace.
+void materialize_asserts(const Transaction& txn, const QueryOutcome& outcome,
+                         const Env& env, const View* view,
+                         const FunctionRegistry* fns, std::vector<Tuple>& out);
 
 /// Blocks the calling OS thread until `txn` commits — the delayed ('=>')
 /// semantics for host-program callers that are not scheduler processes.

@@ -203,7 +203,7 @@ bool WindowSource::admitted(const Record& r) const {
 }
 
 void WindowSource::scan_key(const IndexKey& key,
-                            const Dataspace::RecordFn& fn) const {
+                            Dataspace::RecordFn fn) const {
   if (view_.imports_everything()) {
     if (metrics_ == nullptr) {
       space_.scan_key(key, fn);
@@ -225,7 +225,7 @@ void WindowSource::scan_key(const IndexKey& key,
 }
 
 void WindowSource::scan_key_second(const IndexKey& key, const Value& second,
-                                   const Dataspace::RecordFn& fn) const {
+                                   Dataspace::RecordFn fn) const {
   if (view_.imports_everything()) {
     if (metrics_ == nullptr) {
       space_.scan_key_second(key, second, fn);
@@ -247,7 +247,7 @@ void WindowSource::scan_key_second(const IndexKey& key, const Value& second,
 }
 
 void WindowSource::scan_arity(std::uint32_t arity,
-                              const Dataspace::RecordFn& fn) const {
+                              Dataspace::RecordFn fn) const {
   if (view_.imports_everything()) {
     if (metrics_ == nullptr) {
       space_.scan_arity(arity, fn);

@@ -123,10 +123,10 @@ class WindowSource final : public TupleSource {
     return space_.stats_epoch();
   }
 
-  void scan_key(const IndexKey& key, const Dataspace::RecordFn& fn) const override;
-  void scan_arity(std::uint32_t arity, const Dataspace::RecordFn& fn) const override;
+  void scan_key(const IndexKey& key, Dataspace::RecordFn fn) const override;
+  void scan_arity(std::uint32_t arity, Dataspace::RecordFn fn) const override;
   void scan_key_second(const IndexKey& key, const Value& second,
-                       const Dataspace::RecordFn& fn) const override;
+                       Dataspace::RecordFn fn) const override;
 
  private:
   struct PinnedEntry {

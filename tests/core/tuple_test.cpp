@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
+#include "core/small_vector.hpp"
+
 namespace sdl {
 namespace {
 
@@ -74,6 +79,61 @@ TEST(TupleTest, MixedFieldKinds) {
   EXPECT_TRUE(t[3].is_atom());
   EXPECT_TRUE(t[4].is_double());
   EXPECT_TRUE(t[5].is_bool());
+}
+
+// Tuples past kInlineFields spill to the heap; copies and moves of both
+// shapes keep every field.
+TEST(TupleTest, WideAndNarrowTuplesCopyAndMove) {
+  const Tuple narrow = tup("acct", 7, std::string(64, 'n'));
+  const Tuple wide = tup("w", 1, 2, 3, std::string(64, 'w'), 5.5);
+  ASSERT_EQ(wide.arity(), 6u);
+  for (const Tuple& t : {narrow, wide}) {
+    Tuple copy = t;
+    EXPECT_EQ(copy, t);
+    Tuple moved = std::move(copy);
+    EXPECT_EQ(moved, t);
+    Tuple assigned;
+    assigned = moved;
+    EXPECT_EQ(assigned, t);
+    assigned = Tuple{};
+    EXPECT_TRUE(assigned.empty());
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned, t);
+  }
+  EXPECT_EQ(wide[4], Value(std::string(64, 'w')));
+  EXPECT_THROW((void)narrow.at(3), std::out_of_range);
+}
+
+TEST(SmallVectorTest, GrowsPastInlineCapacityAndMovesBothShapes) {
+  SmallVector<std::string, 2> v;
+  EXPECT_EQ(v.capacity(), 2u);
+  for (int i = 0; i < 5; ++i) {
+    v.push_back(std::string(40, static_cast<char>('a' + i)));
+  }
+  ASSERT_EQ(v.size(), 5u);
+  EXPECT_GE(v.capacity(), 5u);
+  EXPECT_EQ(v[4], std::string(40, 'e'));
+
+  SmallVector<std::string, 2> heap_copy = v;
+  EXPECT_EQ(heap_copy, v);
+  SmallVector<std::string, 2> heap_moved = std::move(heap_copy);
+  EXPECT_EQ(heap_moved, v);
+  EXPECT_TRUE(heap_copy.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(heap_copy.capacity(), 2u);
+
+  SmallVector<std::string, 2> small;
+  small.emplace_back("x");
+  SmallVector<std::string, 2> small_moved = std::move(small);
+  ASSERT_EQ(small_moved.size(), 1u);
+  EXPECT_EQ(small_moved[0], "x");
+  EXPECT_TRUE(small.empty());  // NOLINT(bugprone-use-after-move)
+
+  small_moved = v;  // inline -> heap by copy-assignment
+  EXPECT_EQ(small_moved, v);
+  small_moved = std::move(heap_moved);  // steals the heap block
+  EXPECT_EQ(small_moved, v);
+  small_moved.clear();
+  EXPECT_TRUE(small_moved.empty());
 }
 
 }  // namespace

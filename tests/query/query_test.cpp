@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
+#include <shared_mutex>
+#include <thread>
 
+#include "core/epoch.hpp"
+#include "query/compile.hpp"
 #include "query/reference_eval.hpp"
 
 namespace sdl {
@@ -337,6 +343,124 @@ TEST(QueryTest, PropertyListContentAddressing) {
   q.patterns = {pat({W(), A("size"), V("v"), W()})};
   ASSERT_TRUE(f.run(q).success);
   EXPECT_EQ(f.slot("v"), Value(42));
+}
+
+// Many threads share one Query, hence one plan cache, while its entries
+// are evicted (more binding signatures than kCapacity) and invalidated
+// (a writer grows bucket tables, so stats_epoch drifts). Lookups take no
+// lock and evicted programs are freed only through EBR, so this is a
+// TSan/ASan target; every result must still equal the reference
+// evaluator's.
+TEST(QueryTest, SharedPlanCacheSurvivesEvictionAndEpochDrift) {
+  constexpr int kNodes = 12;
+  constexpr int kVars = 5;  // 2^5 binding signatures > kCapacity
+  constexpr int kReaders = 3;
+  constexpr int kIterations = 1500;
+  constexpr int kGrowthRounds = 5;
+  static_assert((1u << kVars) > PlanCache::kCapacity);
+
+  Dataspace space{4};
+  std::shared_mutex space_mutex;  // readers shared, the writer exclusive
+  for (int i = 0; i < kNodes; ++i) {
+    space.insert(tup("e", i, (i + 1) % kNodes), 0);
+    space.insert(tup("e", i, (i * 3) % kNodes), 0);
+  }
+  // A path of length four over persistent variables x0..x4: which of them
+  // the caller binds is the plan's binding signature.
+  SymbolTable st;
+  Query q;
+  std::vector<std::string> names;
+  for (int v = 0; v < kVars; ++v) names.push_back("x" + std::to_string(v));
+  for (int v = 0; v + 1 < kVars; ++v) {
+    q.patterns.push_back(pat({A("e"), V(names[v]), V(names[v + 1])}));
+  }
+  q.resolve(st);
+  std::vector<std::size_t> slots;
+  for (const std::string& n : names) {
+    slots.push_back(static_cast<std::size_t>(*st.lookup(n)));
+  }
+  const FunctionRegistry fns;
+
+  const PlanCacheStats& stats = plan_cache_stats();
+  const std::uint64_t invalidations0 = stats.invalidations.load();
+  const std::uint64_t compiles0 = stats.compiles.load();
+  std::atomic<int> mismatches{0};
+  std::atomic<int> successes{0};
+
+  // Writer and readers move in step, so every growth round lands while
+  // readers still hold plans from before it: the writer starts round r
+  // once the readers are (r+1)/(kGrowthRounds+2) of the way through, and
+  // a reader passes (r+2)/(kGrowthRounds+2) only after round r landed.
+  std::atomic<int> progress{0};     // reader iterations completed
+  std::atomic<int> rounds_done{0};  // growth rounds landed
+
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    // Grow in rounds spread over the readers' run, each adding a fresh
+    // bucket per insert — enough to double the bucket tables, so every
+    // round bumps stats_epoch while readers hold plans from before it.
+    int head = 1000;
+    for (int round = 0; round < kGrowthRounds; ++round) {
+      while (progress.load() < (round + 1) * kReaders * kIterations /
+                                   (kGrowthRounds + 2)) {
+        std::this_thread::yield();
+      }
+      for (int i = 0; i < 64 << round; ++i) {
+        std::unique_lock lock(space_mutex);
+        const epoch::Guard guard;  // table growth retires the old table
+        space.insert(tup(head, i), 0);
+        ++head;
+      }
+      rounds_done.fetch_add(1);
+    }
+  });
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      std::uint64_t rng = 0x9E3779B97F4A7C15ull * static_cast<unsigned>(t + 1);
+      for (int i = 0; i < kIterations; ++i) {
+        const int landed = std::min(
+            kGrowthRounds, i * (kGrowthRounds + 2) / kIterations - 1);
+        while (rounds_done.load() < landed) std::this_thread::yield();
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        // Mostly a hot set of 8 signatures (hits, and entries that live
+        // long enough to go stale), every fourth pick any of the 32
+        // (evictions).
+        const unsigned mask = static_cast<unsigned>(
+            (rng >> 40) % (i % 4 == 0 ? 1u << kVars : 8u));
+        Env env_c(static_cast<std::size_t>(st.size()));
+        for (int v = 0; v < kVars; ++v) {
+          if ((mask >> v & 1u) != 0) {
+            env_c[slots[v]] = Value(static_cast<std::int64_t>(
+                (rng >> (8 * v)) % kNodes));
+          }
+        }
+        Env env_r = env_c;
+        std::shared_lock lock(space_mutex);
+        const DataspaceSource src(space);
+        const QueryOutcome oc = q.evaluate(src, env_c, &fns);
+        const QueryOutcome orf = reference_evaluate(q, src, env_r, &fns);
+        bool same = oc.success == orf.success &&
+                    oc.matches.size() == orf.matches.size() && env_c == env_r;
+        for (std::size_t m = 0; same && m < oc.matches.size(); ++m) {
+          same = oc.matches[m].reads == orf.matches[m].reads &&
+                 oc.matches[m].binding == orf.matches[m].binding;
+        }
+        if (!same) mismatches.fetch_add(1);
+        if (oc.success) successes.fetch_add(1);
+        progress.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(successes.load(), 0);
+  EXPECT_GT(stats.compiles.load() - compiles0, PlanCache::kCapacity)
+      << "the cache never had to evict";
+  EXPECT_GT(stats.invalidations.load() - invalidations0, 0u)
+      << "no plan outlived an epoch bump";
 }
 
 }  // namespace

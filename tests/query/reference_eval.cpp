@@ -183,10 +183,13 @@ class JoinEnumerator {
   const std::function<bool()>* on_complete_ = nullptr;
 };
 
-QueryMatch make_match(const std::vector<TuplePattern>& patterns,
-                      const std::vector<const Record*>& chosen, const Env& env) {
+/// QueryMatch's contract: only ForAll matches carry their environment; an
+/// Exists winner's binding stays in `env`.
+QueryMatch make_match(const Query& q, const std::vector<const Record*>& chosen,
+                      const Env& env) {
+  const std::vector<TuplePattern>& patterns = q.patterns;
   QueryMatch m;
-  m.binding = env;
+  if (q.quantifier == Quantifier::ForAll) m.binding = env;
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     if (chosen[i] == nullptr) continue;
     m.reads.push_back(chosen[i]->id);
@@ -231,7 +234,7 @@ QueryOutcome reference_evaluate(const Query& q, const TupleSource& source,
       for (const NegatedGroup& g : q.negations) {
         if (!negation_holds(q, g, source, env, fns)) return true;
       }
-      out.matches.push_back(make_match(q.patterns, join.chosen(), env));
+      out.matches.push_back(make_match(q, join.chosen(), env));
       return false;  // first satisfying assignment wins
     });
     out.success = stopped;
@@ -256,7 +259,7 @@ QueryOutcome reference_evaluate(const Query& q, const TupleSource& source,
         return false;
       }
     }
-    out.matches.push_back(make_match(q.patterns, join.chosen(), env));
+    out.matches.push_back(make_match(q, join.chosen(), env));
     return true;
   });
   if (violated) {

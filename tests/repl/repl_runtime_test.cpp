@@ -312,9 +312,9 @@ TEST_F(ReplRuntimeTest, ReconnectResumesFromWatermark) {
   EXPECT_EQ(follower.repl_follower()->stats().reconnects, 1u);
 }
 
-// A WAL frame larger than the streamer's read window (max_batch_bytes plus
-// one read chunk, 512 KiB by default) must still ship, as a batch of one,
-// instead of parsing as a torn tail forever.
+// A WAL frame larger than the streamer's read window (sized from the
+// frames it expects) must still ship, as a batch of one, instead of
+// parsing as a torn tail forever.
 TEST_F(ReplRuntimeTest, FrameLargerThanTheReadWindowShips) {
   Runtime leader(leader_opts(/*fsync_every=*/8));
   Runtime follower(follower_opts(/*with_persist=*/false));
@@ -357,6 +357,29 @@ TEST_F(ReplRuntimeTest, BulkSeedOfFiftyThousandTuplesDrains) {
   EXPECT_EQ(follower.repl_follower()->stats().missing_retracts, 0u);
   const CheckReport check = leader.check_history();
   EXPECT_TRUE(check.ok()) << check.to_string();
+}
+
+// The tailer reads about what the leader wrote: each wake-up fetches the
+// durable frames past its cursor, not the segment's preallocated zero
+// padding behind them.
+TEST_F(ReplRuntimeTest, TailerReadsWhatWasWrittenNotThePadding) {
+  Runtime leader(leader_opts());
+  Runtime follower(follower_opts(/*with_persist=*/false));
+  connect(leader, follower);
+
+  constexpr std::uint64_t kCommits = 1000;
+  for (std::uint64_t i = 0; i < kCommits; ++i) {
+    leader.seed(tup("job", static_cast<std::int64_t>(i)));
+  }
+  ASSERT_TRUE(wait_until([&] { return converged(leader, follower); }, 20000));
+  EXPECT_EQ(follower.repl_follower()->applied_seq(), kCommits);
+  expect_same_state(leader, follower);
+
+  // bytes_sent is the frame bytes shipped, i.e. the WAL bytes written.
+  const repl::ReplLeaderStats ls = leader.repl_leader()->stats();
+  EXPECT_GE(ls.tail_bytes_read, ls.bytes_sent);
+  EXPECT_LE(ls.tail_bytes_read, 3 * ls.bytes_sent)
+      << ls.batches_sent << " batches of " << ls.bytes_sent << " bytes";
 }
 
 TEST_F(ReplRuntimeTest, TcpTransportStreamsEndToEnd) {

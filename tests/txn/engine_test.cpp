@@ -283,9 +283,9 @@ TEST_P(EngineTest, StatsTrackAttemptsCommitsFailures) {
   Transaction bad = prep(TxnBuilder().match(pat({A("missing")})));
   engine->execute(ok, env, 1);
   engine->execute(bad, env, 1);
-  EXPECT_EQ(engine->stats().attempts.load(), 2u);
-  EXPECT_EQ(engine->stats().commits.load(), 1u);
-  EXPECT_EQ(engine->stats().failures.load(), 1u);
+  EXPECT_EQ(engine->stats().attempts(), 2u);
+  EXPECT_EQ(engine->stats().commits(), 1u);
+  EXPECT_EQ(engine->stats().failures(), 1u);
 }
 
 TEST_P(EngineTest, ReplicatedApplyIsRedeliveryIdempotent) {

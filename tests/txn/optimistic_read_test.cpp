@@ -42,7 +42,7 @@ TEST_F(OptimisticReadTest, UncontendedReadValidatesFirstTry) {
   for (int i = 0; i < kN; ++i) {
     ASSERT_TRUE(engine.execute(read, env, 1).success);
   }
-  EXPECT_EQ(engine.stats().read_optimistic.load(), kN);
+  EXPECT_EQ(engine.stats().read_optimistic(), kN);
   EXPECT_EQ(engine.stats().read_retries.load(), 0u);
   EXPECT_EQ(engine.stats().read_fallbacks.load(), 0u);
 }
@@ -96,13 +96,38 @@ TEST_F(OptimisticReadTest, OddVersionPoisonsAttemptAndFallsBack) {
   EXPECT_EQ(engine.stats().read_fallbacks.load(), 1u);
   EXPECT_EQ(engine.stats().read_retries.load(),
             static_cast<std::uint64_t>(ShardedEngine::kOptimisticAttempts));
-  EXPECT_EQ(engine.stats().read_optimistic.load(), 0u);
+  EXPECT_EQ(engine.stats().read_optimistic(), 0u);
   for (std::size_t si = 0; si < space.shard_count(); ++si) {
     space.end_shard_write(si);
   }
   // World quiet again: back on the lock-free path.
   ASSERT_TRUE(engine.execute(read, env, 1).success);
-  EXPECT_EQ(engine.stats().read_optimistic.load(), 1u);
+  EXPECT_EQ(engine.stats().read_optimistic(), 1u);
+}
+
+TEST_F(OptimisticReadTest, ArityWideReadSamplesEveryShard) {
+  // An unpinned head sweeps every shard, so the source samples all eight:
+  // four inline, four spilled. A writer mid-commit on the last shard
+  // (spilled) must still poison the attempt.
+  for (int i = 0; i < 32; ++i) space.insert(tup(i, i * 2), 0);
+  SymbolTable st;
+  Env env;
+  Transaction read = prep(TxnBuilder()
+                              .exists({"h", "v"})
+                              .match(pat({V("h"), V("v")}))
+                              .where(eq(evar("v"), lit(62))),
+                          st, env);
+  ASSERT_TRUE(engine.execute(read, env, 1).success);
+  EXPECT_EQ(env[static_cast<std::size_t>(*st.lookup("h"))], Value(31));
+  EXPECT_EQ(engine.stats().read_optimistic(), 1u);
+
+  const std::size_t last = space.shard_count() - 1;
+  space.begin_shard_write(last);
+  ASSERT_TRUE(engine.execute(read, env, 1).success);
+  EXPECT_EQ(engine.stats().read_optimistic(), 1u);
+  EXPECT_EQ(engine.stats().read_fallbacks.load(), 1u)
+      << "the spilled sample of an odd shard went unchecked";
+  space.end_shard_write(last);
 }
 
 TEST_F(OptimisticReadTest, ProbeUsesOptimisticPath) {
@@ -117,7 +142,7 @@ TEST_F(OptimisticReadTest, ProbeUsesOptimisticPath) {
                           st, env);
   EXPECT_TRUE(engine.probe(take, env, nullptr));
   EXPECT_EQ(engine.stats().probes.load(), 1u);
-  EXPECT_EQ(engine.stats().read_optimistic.load(), 1u)
+  EXPECT_EQ(engine.stats().read_optimistic(), 1u)
       << "probe should answer from the lock-free path";
 }
 
@@ -141,7 +166,7 @@ TEST_F(OptimisticReadTest, PointReadProbesIndexNotBucket) {
     ASSERT_TRUE(engine.execute(read, env, 1).success) << "k=" << k;
     ASSERT_EQ(env[b_slot], Value(k * 10));
   }
-  EXPECT_EQ(engine.stats().read_optimistic.load(),
+  EXPECT_EQ(engine.stats().read_optimistic(),
             static_cast<std::uint64_t>(kReads));
   EXPECT_EQ(engine.stats().read_fallbacks.load(), 0u);
   EXPECT_LE(space.stats().records_scanned - before,
@@ -244,7 +269,7 @@ TEST_F(OptimisticReadTest, ReadersNeverObserveTornCommits) {
   EXPECT_EQ(space.count(tup("q", kWriters * kPerWriter)), 1u);
   // Reads under contention either validated or fell back — both fine —
   // but the counters must account for every read attempt's outcome.
-  EXPECT_GT(engine.stats().read_optimistic.load() +
+  EXPECT_GT(engine.stats().read_optimistic() +
                 engine.stats().read_fallbacks.load(),
             0u);
 }
@@ -336,7 +361,7 @@ TEST_F(OptimisticReadTest, PointReadsRaceSecondIndexChurn) {
   }
   EXPECT_EQ(bumps, kWriters * kPerWriter) << "lost or duplicated update";
   EXPECT_EQ(space.size(), static_cast<std::size_t>(kKeys + kGrow));
-  EXPECT_GT(engine.stats().read_optimistic.load(), 0u);
+  EXPECT_GT(engine.stats().read_optimistic(), 0u);
 }
 
 TEST_F(OptimisticReadTest, ScanStormOverChurningBucketIsMemorySafe) {

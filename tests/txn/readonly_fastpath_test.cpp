@@ -204,7 +204,7 @@ TEST_P(ReadOnlyFastPathTest, ProbeIsEffectFreeAndCountsSeparately) {
   EXPECT_EQ(space.count(tup("found", 90)), 0u);
   EXPECT_EQ(waits.version(), version_before);
   EXPECT_EQ(engine->stats().probes.load(), 2u);
-  EXPECT_EQ(engine->stats().attempts.load(), 0u)
+  EXPECT_EQ(engine->stats().attempts(), 0u)
       << "probes are pre-checks, not transaction attempts";
 
   // After the real commit the probe target is gone.
