@@ -7,13 +7,9 @@
 // Naive order scans all of D before discovering the empty pinned bucket;
 // the planner probes the empty bucket first and fails in O(1). Sweep |D|.
 //
-// ISSUE 8 adds the wakeup-check columns: the same guard-heavy parked
-// shape re-checked on every commit, measured three ways — the always-full
-// probe (O(window) per wakeup), the incremental empty-delta still-parked
-// proof (O(1)), and the incremental delta-seeded check (O(delta), under
-// the same engine read locks as the full probe). run_benches.sh --check
-// gates BM_WakeupFullProbe / BM_WakeupIncrementalEmpty at >= 2x on the
-// largest shape, self-relative so the gate is machine-independent.
+// The wakeup-check column: the guard-heavy parked shape re-checked on
+// every commit through the engine probe under read locks (O(window) per
+// wakeup) — the one re-check path a parked delayed transaction takes.
 //
 // ISSUE 10 adds the compiled-tier columns: the same query executed
 // through the bytecode match program (Query::evaluate) vs the test
@@ -24,7 +20,6 @@
 // >= SDL_E13_GATE (2x) on the largest shape, again self-relative.
 #include <benchmark/benchmark.h>
 
-#include "query/incremental.hpp"
 #include "query/reference_eval.hpp"
 #include "workloads.hpp"
 
@@ -74,12 +69,12 @@ void BM_PlannedOrder(benchmark::State& state) {
 BENCHMARK(BM_NaiveOrder)->RangeMultiplier(4)->Range(64, 16384)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PlannedOrder)->RangeMultiplier(4)->Range(64, 16384)->Unit(benchmark::kMicrosecond);
 
-// ---- Wakeup-check ablation (ISSUE 8) ----
+// ---- Wakeup check ----
 
 /// The guard-heavy parked shape: ∃v: <w,v> : v < 0 over a window of
 /// `size` candidates, none of which pass the guard. Every wakeup of a
-/// process parked on this pays a full enumeration on the always-full
-/// path; the planner cannot help (one pattern, the bucket is hot).
+/// process parked on this pays a full enumeration; the planner cannot
+/// help (one pattern, the bucket is hot).
 struct WakeSetup {
   Dataspace space{64};
   WaitSet waits;
@@ -88,14 +83,10 @@ struct WakeSetup {
   Transaction txn;
   Env env;
   ShardedEngine engine{space, waits, &fns};
-  IncrementalControl control{IncrementalOptions{}};
-  std::shared_ptr<IncrementalState> state;
-  std::vector<DeltaEntry> one_entry;
 
   explicit WakeSetup(std::int64_t size) {
-    TupleId last{};
     for (std::int64_t i = 0; i < size; ++i) {
-      last = space.insert(tup("w", i), kEnvironmentProcess);
+      space.insert(tup("w", i), kEnvironmentProcess);
     }
     txn = TxnBuilder(TxnType::Delayed)
               .exists({"v"})
@@ -104,14 +95,10 @@ struct WakeSetup {
               .build();
     txn.resolve(st);
     env.resize(static_cast<std::size_t>(st.size()));
-    state = make_incremental_state(txn.query, env, &fns, &control);
-    // One live relevant instance — the typical post-commit delta.
-    const Tuple t = tup("w", size - 1);
-    one_entry.push_back(DeltaEntry{IndexKey::of(t), last, t});
   }
 };
 
-/// Always-full wakeup check: engine probe under read locks, O(window).
+/// Wakeup check: engine probe (optimistic, else read locks), O(window).
 void BM_WakeupFullProbe(benchmark::State& state) {
   WakeSetup s(state.range(0));
   for (auto _ : state) {
@@ -120,32 +107,7 @@ void BM_WakeupFullProbe(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
-/// Incremental wakeup check with an empty delta (retract-only or
-/// unrelated churn): take() + the monotone still-parked proof, O(1).
-void BM_WakeupIncrementalEmpty(benchmark::State& state) {
-  WakeSetup s(state.range(0));
-  for (auto _ : state) {
-    IncrementalState::Pending p = s.state->take();
-    benchmark::DoNotOptimize(p.invalid || !p.entries.empty());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-/// Incremental wakeup check with a one-entry delta: liveness probe plus
-/// seeded enumeration under the same read locks as the full probe,
-/// O(delta) instead of O(window).
-void BM_WakeupIncrementalSeeded(benchmark::State& state) {
-  WakeSetup s(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        s.engine.probe_seeded(s.txn, s.env, s.state->specs(), s.one_entry));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
 BENCHMARK(BM_WakeupFullProbe)->RangeMultiplier(4)->Range(64, 16384)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_WakeupIncrementalEmpty)->RangeMultiplier(4)->Range(64, 16384)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_WakeupIncrementalSeeded)->RangeMultiplier(4)->Range(64, 16384)->Unit(benchmark::kMicrosecond);
 
 // ---- Compiled-tier ablation (ISSUE 10) ----
 

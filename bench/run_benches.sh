@@ -32,16 +32,15 @@
 #   * E20 overload smoke: goodput at 2x saturation must stay >=
 #     SDL_E20_GATE (default 0.7) of the peak-rate row — the graceful-
 #     degradation plateau. SDL_E20_MS shortens the per-row window for CI.
-#   * E13 wakeup-check ablation vs bench/BENCH_e13_baseline.json (same
-#     two-direction row coverage + tolerance band as E15), plus two
-#     self-relative gates on the largest guard-heavy shape: the
-#     empty-delta wakeup check must be >= SDL_E13_GATE (default 2.0)
-#     times faster than the full probe, and the compiled bytecode tier
-#     must be >= SDL_E13_GATE times faster than the test reference
-#     evaluator (tests/query/reference_eval.hpp).
+#   * E13 planner / wakeup-probe / compiler ablation vs
+#     bench/BENCH_e13_baseline.json (same two-direction row coverage as
+#     E15), plus one self-relative gate on the largest guard-heavy shape:
+#     the compiled bytecode tier must be >= SDL_E13_GATE (default 2.0)
+#     times faster than the test reference evaluator
+#     (tests/query/reference_eval.hpp).
 #   * E5 dataspace primitives vs bench/BENCH_e5_baseline.json — the
-#     zero-regression guard for the delta-capture hooks on the commit
-#     path (tolerance band, both-direction row coverage), plus one
+#     zero-regression guard for the commit path (tolerance band,
+#     both-direction row coverage), plus one
 #     self-relative size-flatness gate: the optimistic point read over a
 #     100000-tuple bucket may take at most 2x the time of the 1000-tuple
 #     row (the field-1 index probe, not a bucket scan).
@@ -360,26 +359,10 @@ for name, brow in sorted(base_rows.items()):
                 f"refreshing {sys.argv[1]}")
 
 if bench == "bench_e13_planner":
-    # Self-relative incremental gate on the largest guard-heavy shape:
-    # machine speed cancels out of the ratio.
     gate = float(os.environ.get("SDL_E13_GATE", "2.0"))
-    full = cur_rows.get("BM_WakeupFullProbe/16384")
-    empty = cur_rows.get("BM_WakeupIncrementalEmpty/16384")
-    if full is None or empty is None:
-        failures.append("E13: wakeup ablation rows missing — gate cannot run")
-    else:
-        speedup = full["real_time"] / max(empty["real_time"], 1e-9)
-        if speedup < gate:
-            failures.append(
-                f"E13: incremental empty-delta wakeup check is only "
-                f"{speedup:.1f}x faster than the full probe at 16384 "
-                f"(gate {gate:.1f}x)")
-        else:
-            print(f"E13 wakeup gate: {speedup:.0f}x over full probe "
-                  f"(gate {gate:.1f}x)")
-    # Compiled-tier gate (ISSUE 10), same discipline: the bytecode match
-    # program must beat the test reference evaluator by >= SDL_E13_GATE on the
-    # largest guard-heavy shape. Self-relative, so machine speed cancels.
+    # Compiled-tier gate: the bytecode match program must beat the test
+    # reference evaluator by >= SDL_E13_GATE on the largest guard-heavy
+    # shape. Self-relative, so machine speed cancels.
     interp = cur_rows.get("BM_GuardHeavyInterpreted/16384")
     comp = cur_rows.get("BM_GuardHeavyCompiled/16384")
     if interp is None or comp is None:

@@ -249,12 +249,6 @@ RuntimeMetrics::RuntimeMetrics(MetricsRegistry& reg) : registry(&reg) {
   snapshot_ns = &reg.histogram("sdl_snapshot_ns");
   window_records_scanned = &reg.counter("sdl_window_records_scanned_total");
   window_records_admitted = &reg.counter("sdl_window_records_admitted_total");
-  inc_delta_applied = &reg.counter("sdl_inc_delta_applied_total");
-  inc_fallback_nonmonotone = &reg.counter("sdl_inc_fallback_nonmonotone_total");
-  inc_fallback_view = &reg.counter("sdl_inc_fallback_view_total");
-  inc_fallback_no_delta = &reg.counter("sdl_inc_fallback_no_delta_total");
-  inc_fallback_batch = &reg.counter("sdl_inc_fallback_batch_total");
-  inc_fallback_capacity = &reg.counter("sdl_inc_fallback_capacity_total");
 }
 
 }  // namespace sdl::obs

@@ -233,17 +233,6 @@ struct RuntimeMetrics {
   // admitted — the direct measurement of the §2.1 cost-bounding claim.
   Counter* window_records_scanned = nullptr;
   Counter* window_records_admitted = nullptr;
-
-  // Incremental wakeup evaluation (ISSUE 8): delta entries consumed by
-  // seeded checks, and full-re-evaluation fallbacks by reason. Flat names
-  // (one counter per reason, not a label) keep the JSON exporter valid —
-  // these mirror the exact always-on IncrementalControl counters.
-  Counter* inc_delta_applied = nullptr;
-  Counter* inc_fallback_nonmonotone = nullptr;
-  Counter* inc_fallback_view = nullptr;
-  Counter* inc_fallback_no_delta = nullptr;
-  Counter* inc_fallback_batch = nullptr;
-  Counter* inc_fallback_capacity = nullptr;
 };
 
 }  // namespace sdl::obs

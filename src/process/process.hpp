@@ -166,13 +166,6 @@ class Process {
   /// have to publish to wake this process. Kept for deadlock diagnosis
   /// (the wait-for report matches it against other processes' write sets).
   WaitSet::Interest interest;
-  /// Retained incremental-wakeup state for the parked delayed transaction
-  /// (src/query/incremental.hpp), shared with the WaitSet entry so either
-  /// side releasing last frees it. Null when the feature is off, the query
-  /// is outside the monotone fragment, or the process is view-scoped.
-  /// Lifetime tracks the subscription: set by ensure_subscription, reset
-  /// by drop_subscription (and so by every retire path).
-  std::shared_ptr<IncrementalState> inc_state;
   std::uint64_t txns_committed = 0;
   /// This replicant is counted in group->parked (exactly-once accounting;
   /// set before parking, cleared when the scheduler resumes it).

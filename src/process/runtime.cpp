@@ -40,10 +40,6 @@ Runtime::Runtime(RuntimeOptions options)
     waits_.set_overload(overload_.get());
     scheduler_->set_overload(overload_.get());
   }
-  if (options_.incremental.enabled) {
-    inc_ = std::make_unique<IncrementalControl>(options_.incremental);
-    scheduler_->set_incremental(inc_.get());
-  }
   register_gauges();
   if (options_.persist.enabled()) {
     // Mutating open: recovers the directory's committed state, then loads
@@ -159,28 +155,6 @@ void Runtime::register_gauges() {
     metrics_registry_.gauge("sdl_epoch_forced_drains_total", [c] {
       return c->stats().forced_drains.load(std::memory_order_relaxed);
     });
-  }
-  if (inc_) {
-    IncrementalControl* const c = inc_.get();
-    metrics_registry_.gauge("sdl_inc_state_bytes", [c] {
-      const std::int64_t b = c->state_bytes.load(std::memory_order_relaxed);
-      return static_cast<std::uint64_t>(b > 0 ? b : 0);
-    });
-    metrics_registry_.gauge("sdl_inc_states_live", [c] {
-      const std::int64_t n = c->states_live.load(std::memory_order_relaxed);
-      return static_cast<std::uint64_t>(n > 0 ? n : 0);
-    });
-    metrics_registry_.gauge("sdl_inc_checks_empty_total", [c] {
-      return c->checks_empty.load(std::memory_order_relaxed);
-    });
-    metrics_registry_.gauge("sdl_inc_checks_seeded_total", [c] {
-      return c->checks_seeded.load(std::memory_order_relaxed);
-    });
-    metrics_registry_.gauge("sdl_inc_wakes_confirmed_total", [c] {
-      return c->wakes_confirmed.load(std::memory_order_relaxed);
-    });
-    metrics_registry_.gauge("sdl_inc_fallbacks_total",
-                            [c] { return c->fallbacks_total(); });
   }
 }
 

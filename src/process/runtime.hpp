@@ -47,11 +47,6 @@ struct RuntimeOptions {
   /// default-constructed Runtime pays nothing, and deterministic-sim runs
   /// stay bit-identical unless a test arms it deliberately.
   control::OverloadOptions overload;
-  /// Delta-driven wakeup evaluation for parked delayed transactions
-  /// (src/query/incremental.hpp). Off by default; even when enabled the
-  /// scheduler keeps it off under deterministic sim, armed faults, or an
-  /// armed history recorder unless `incremental.force` overrides.
-  IncrementalOptions incremental;
   /// Leader/follower replication (src/repl). Off unless repl.role is set.
   /// A Leader requires persist.dir (the WAL is the replication stream) and
   /// streams durable records to attached followers; a Follower applies the
@@ -133,12 +128,6 @@ class Runtime {
   [[nodiscard]] control::OverloadControl* overload() {
     return overload_.get();
   }
-
-  /// Null when incremental wakeup evaluation is off
-  /// (options.incremental.enabled false). Exact check/fallback/state
-  /// counters live here and are mirrored into metrics() as sdl_inc_*
-  /// gauges.
-  [[nodiscard]] IncrementalControl* incremental() { return inc_.get(); }
 
   /// One-struct summary of runtime counters — what an operator dashboard
   /// (or the paper's envisioned environment) would display after a run.
@@ -227,10 +216,6 @@ class Runtime {
   // pointers into it: the control block must outlive every component that
   // might consult it during teardown.
   std::unique_ptr<control::OverloadControl> overload_;
-  // Declared before waits_/scheduler_: WaitSet entries hold shared
-  // IncrementalStates that return their byte accounting to this control
-  // block on destruction, so it must outlive them.
-  std::unique_ptr<IncrementalControl> inc_;
   Dataspace space_;
   WaitSet waits_;
   TraceRecorder trace_;

@@ -1089,29 +1089,14 @@ TxnResult Scheduler::execute_engine(Process& p, const Transaction& txn) {
   return r;
 }
 
-void Scheduler::ensure_subscription(Process& p, WaitSet::Interest interest,
-                                    const Transaction* txn) {
+void Scheduler::ensure_subscription(Process& p, WaitSet::Interest interest) {
   if (p.ticket != WaitSet::kInvalidTicket) return;
   const ProcessId pid = p.pid;
   p.interest = interest;  // diagnosis copy (wait-for reports)
-  std::shared_ptr<IncrementalState> state;
-  if (txn != nullptr && incremental_active()) {
-    if (p.view_ptr() != nullptr && !p.view_ptr()->imports_everything()) {
-      // View-scoped evaluation re-admits candidates through the window on
-      // every attempt; a commit delta cannot answer admission, so these
-      // processes stay on the full path.
-      count_inc_fallback(IncFallbackReason::View);
-    } else {
-      state = make_incremental_state(txn->query, p.env, engine_.functions(),
-                                     inc_);
-      if (state == nullptr) count_inc_fallback(IncFallbackReason::Nonmonotone);
-    }
-  }
-  p.inc_state = state;
   bool saturated = false;
   p.ticket = engine_.waits().subscribe(
       std::move(interest), [this, pid] { wake(pid); },
-      overload_ != nullptr ? &saturated : nullptr, std::move(state));
+      overload_ != nullptr ? &saturated : nullptr);
   // A saturated bucket means this park joins a queue already past its
   // cap; finalize_park converts the hint into a forced short deadline so
   // the watchdog sheds the excess instead of letting the bucket grow.
@@ -1123,62 +1108,7 @@ void Scheduler::drop_subscription(Process& p) {
   engine_.waits().unsubscribe(p.ticket);
   p.ticket = WaitSet::kInvalidTicket;
   p.interest = {};
-  p.inc_state.reset();  // WaitSet ref is gone too — state frees here
   p.park_saturated = false;
-}
-
-bool Scheduler::incremental_active() const {
-  if (inc_ == nullptr) return false;
-  const IncrementalOptions& o = inc_->options();
-  if (!o.enabled) return false;
-  if (o.force) return true;
-  // The always-full path is what the sim explorer, fault campaigns and
-  // the serializability checker validate — keep them on it.
-  if (deterministic() || faults_ != nullptr) return false;
-  const HistoryRecorder* h = engine_.history();
-  return h == nullptr || !h->enabled();
-}
-
-void Scheduler::count_inc_fallback(IncFallbackReason r) {
-  inc_->count_fallback(r);
-  obs::RuntimeMetrics* const m = obs_metrics();
-  if (m == nullptr) return;
-  switch (r) {
-    case IncFallbackReason::Nonmonotone: m->inc_fallback_nonmonotone->add(); break;
-    case IncFallbackReason::View: m->inc_fallback_view->add(); break;
-    case IncFallbackReason::NoDelta: m->inc_fallback_no_delta->add(); break;
-    case IncFallbackReason::Batch: m->inc_fallback_batch->add(); break;
-    case IncFallbackReason::Capacity: m->inc_fallback_capacity->add(); break;
-  }
-}
-
-Scheduler::IncDecision Scheduler::incremental_recheck(Process& p,
-                                                      const Transaction& txn) {
-  if (p.inc_state == nullptr) return IncDecision::None;
-  IncrementalState::Pending pending = p.inc_state->take();
-  if (pending.invalid) {
-    count_inc_fallback(pending.reason);
-    return IncDecision::Fallback;
-  }
-  if (pending.entries.empty()) {
-    // The headline win: nothing relevant was asserted since the last
-    // failed evaluation, so by monotonicity the query is provably still
-    // unsatisfiable — park again without touching the dataspace.
-    inc_->checks_empty.fetch_add(1, std::memory_order_relaxed);
-    return IncDecision::StillParked;
-  }
-  inc_->checks_seeded.fetch_add(1, std::memory_order_relaxed);
-  inc_->delta_entries_applied.fetch_add(pending.entries.size(),
-                                        std::memory_order_relaxed);
-  if (obs::RuntimeMetrics* const m = obs_metrics(); m != nullptr) {
-    m->inc_delta_applied->add(pending.entries.size());
-  }
-  if (engine_.probe_seeded(txn, p.env, p.inc_state->specs(),
-                           pending.entries)) {
-    inc_->wakes_confirmed.fetch_add(1, std::memory_order_relaxed);
-    return IncDecision::MaybeEnabled;
-  }
-  return IncDecision::StillParked;
 }
 
 ControlAction Scheduler::apply_actions(Process& p, const Transaction& txn,
@@ -1257,20 +1187,9 @@ Scheduler::StepOutcome Scheduler::do_transaction(Process& p,
       // probe still wakes us (no lost wakeup). Read-only transactions
       // skip the probe: their execute() is already the shared-lock path.
       const bool recheck = p.ticket != WaitSet::kInvalidTicket;
-      // Delta-driven recheck (when armed): consult the retained state
-      // BEFORE the probe. StillParked skips all evaluation; MaybeEnabled
-      // skips the probe (the seeded check already found a witness) and
-      // goes straight to execute, which re-verifies under full locks.
-      const IncDecision inc =
-          recheck ? incremental_recheck(p, txn) : IncDecision::None;
-      ensure_subscription(p, engine_.interest_of(txn, p.env), &txn);
+      ensure_subscription(p, engine_.interest_of(txn, p.env));
       sim_note_txn(txn, p.env);
-      if (inc == IncDecision::StillParked) {
-        p.park_reason = ParkReason::DelayedTxn;
-        p.park_timeout_ms = txn.timeout_ms;
-        return StepOutcome::Parked;
-      }
-      if (recheck && inc != IncDecision::MaybeEnabled && !txn.is_read_only() &&
+      if (recheck && !txn.is_read_only() &&
           !engine_.probe(txn, p.env, p.view_ptr())) {
         p.park_reason = ParkReason::DelayedTxn;
         p.park_timeout_ms = txn.timeout_ms;

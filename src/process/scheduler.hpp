@@ -132,14 +132,6 @@ class Scheduler {
   /// per park/dispatch. Set between runs, never during.
   void set_metrics(obs::RuntimeMetrics* m) { metrics_ = m; }
 
-  /// Arms delta-driven wakeup evaluation for parked delayed transactions
-  /// (null disables; src/query/incremental.hpp). Even when armed and
-  /// enabled, the path stays off under deterministic sim, an armed fault
-  /// injector, or an armed history recorder — the checker keeps
-  /// exercising the always-full path — unless options().force overrides.
-  /// Set between runs, never during.
-  void set_incremental(IncrementalControl* c) { inc_ = c; }
-
   /// Deterministic mode only: overrides the seeded random walk with an
   /// explicit schedule chooser (the explorer's recording/replaying
   /// sources). Null reverts to the seed. Set between runs, never during.
@@ -227,27 +219,8 @@ class Scheduler {
   /// Unwinds frames for `exit`; returns Done if the stack emptied.
   StepOutcome handle_exit(Process& p);
   StepOutcome handle_abort(Process& p);
-  /// `txn` non-null marks a delayed-transaction park eligible for
-  /// incremental wakeup state (consensus/selection parks pass null).
-  void ensure_subscription(Process& p, WaitSet::Interest interest,
-                           const Transaction* txn = nullptr);
+  void ensure_subscription(Process& p, WaitSet::Interest interest);
   void drop_subscription(Process& p);
-
-  // --- incremental wakeup evaluation (delta-driven recheck) ---
-  /// What the retained delta said about a parked process's wakeup.
-  enum class IncDecision {
-    None,          // no state / feature inactive: take the full path
-    StillParked,   // provably still unsatisfiable — skip evaluation
-    MaybeEnabled,  // seeded check found a witness — go straight to execute
-    Fallback,      // state invalidated: full path, fallback counted
-  };
-  /// Consumes the pending delta of `p`'s retained state and classifies
-  /// the wakeup. Worker context, no engine locks held.
-  IncDecision incremental_recheck(Process& p, const Transaction& txn);
-  /// The gating matrix: enabled AND (force OR no sim/faults/history).
-  [[nodiscard]] bool incremental_active() const;
-  /// Bumps the exact control counter and its null-gated metrics mirror.
-  void count_inc_fallback(IncFallbackReason r);
   TxnResult execute_engine(Process& p, const Transaction& txn);
   /// Guard sweep shared by Sweep frames: attempts every non-consensus
   /// guard once; returns the branch index or -1. `saw_injected` is set
@@ -329,7 +302,6 @@ class Scheduler {
   FaultInjector* faults_ = nullptr;
   control::OverloadControl* overload_ = nullptr;
   obs::RuntimeMetrics* metrics_ = nullptr;
-  IncrementalControl* inc_ = nullptr;
 
   mutable std::mutex defs_mutex_;  // guards defs_
   std::unordered_map<std::string, std::unique_ptr<ProcessDef>> defs_;

@@ -218,15 +218,14 @@ bool exact_sim(const TuplePattern& p, const BoundSet& bound) {
 }
 
 /// Replays the tree-walking planner's pick loop (reference_eval.cpp) under
-/// static boundness: rank -1 for the ready seeded pattern, 0 for a ready
-/// exact probe, 1 for a ready arity sweep, 2 for a pattern that is not
-/// ready (a computed term reads a slot that is still unbound; matching it
-/// can still succeed when its own earlier fields bind those slots, as in
-/// [x, x+1]). The early-break conditions are copied verbatim: they decide
-/// which of several rank-0 patterns wins.
+/// static boundness: rank 0 for a ready exact probe, 1 for a ready arity
+/// sweep, 2 for a pattern that is not ready (a computed term reads a slot
+/// that is still unbound; matching it can still succeed when its own
+/// earlier fields bind those slots, as in [x, x+1]). The early break is
+/// copied verbatim: it decides which of several rank-0 patterns wins.
 std::size_t pick_sim(const std::vector<TuplePattern>& patterns,
                      const std::vector<bool>& done, const BoundSet& bound,
-                     bool planner, std::size_t seed_idx) {
+                     bool planner) {
   if (!planner) {
     for (std::size_t i = 0; i < patterns.size(); ++i) {
       if (!done[i]) return i;
@@ -240,15 +239,13 @@ std::size_t pick_sim(const std::vector<TuplePattern>& patterns,
     int rank;
     if (!ready_sim(patterns[i], bound)) {
       rank = 2;
-    } else if (i == seed_idx) {
-      rank = -1;
     } else {
       rank = exact_sim(patterns[i], bound) ? 0 : 1;
     }
     if (rank < best_rank) {
       best_rank = rank;
       best = i;
-      if (rank < 0 || (rank == 0 && seed_idx == PlanCache::kNoSeed)) break;
+      if (rank == 0) break;
     }
   }
   return best;
@@ -257,13 +254,12 @@ std::size_t pick_sim(const std::vector<TuplePattern>& patterns,
 /// Fixes the join order and flattens each pattern, threading the simulated
 /// bound-slot set (callers pass it on to negation compilation).
 std::vector<StepPlan> compile_join(const std::vector<TuplePattern>& patterns,
-                                   bool planner, std::size_t seed_idx,
-                                   BoundSet& bound) {
+                                   bool planner, BoundSet& bound) {
   std::vector<StepPlan> steps;
   steps.reserve(patterns.size());
   std::vector<bool> done(patterns.size(), false);
   for (std::size_t depth = 0; depth < patterns.size(); ++depth) {
-    const std::size_t idx = pick_sim(patterns, done, bound, planner, seed_idx);
+    const std::size_t idx = pick_sim(patterns, done, bound, planner);
     const TuplePattern& p = patterns[idx];
     StepPlan sp;
     sp.pattern_idx = idx;
@@ -278,9 +274,7 @@ std::vector<StepPlan> compile_join(const std::vector<TuplePattern>& patterns,
     // Scan and secondary probe are classified with the bindings as they
     // stand BEFORE this pattern matches, per term: a computed head or
     // field 1 pins the probe only when every slot it reads is bound.
-    if (idx == seed_idx) {
-      sp.scan = StepPlan::Scan::Seed;
-    } else if (p.terms().empty()) {
+    if (p.terms().empty()) {
       sp.scan = StepPlan::Scan::ExactConst;
       sp.key = IndexKey{0, 0};
     } else if (!exact_sim(p, bound)) {
@@ -300,8 +294,7 @@ std::vector<StepPlan> compile_join(const std::vector<TuplePattern>& patterns,
 
     // Secondary-index probe: only on exact scans (the tree-walking
     // evaluator consults second_probe only under KeySpec::Kind::Exact).
-    if (sp.scan != StepPlan::Scan::Seed && sp.scan != StepPlan::Scan::Arity &&
-        p.arity() >= 2) {
+    if (sp.scan != StepPlan::Scan::Arity && p.arity() >= 2) {
       const Term& t2 = p.terms()[1];
       if (t2.kind != Term::Kind::Wildcard && term_ready(t2, bound)) {
         if (t2.kind == Term::Kind::Var) {
@@ -315,8 +308,6 @@ std::vector<StepPlan> compile_join(const std::vector<TuplePattern>& patterns,
         }
       }
     }
-
-    sp.check_arity = sp.scan == StepPlan::Scan::Seed;
 
     for (std::size_t f = 0; f < p.terms().size(); ++f) {
       const Term& t = p.terms()[f];
@@ -368,14 +359,12 @@ int max_regs(const std::vector<StepPlan>& steps, const vm::ExprProgram& guard) {
 
 std::unique_ptr<MatchProgram> compile_program(
     const Query& q, const BindingSignature& sig,
-    const std::vector<std::int32_t>& sig_slots, std::uint64_t stats_epoch,
-    std::size_t seed_idx) {
+    const std::vector<std::int32_t>& sig_slots, std::uint64_t stats_epoch) {
   auto prog = std::make_unique<MatchProgram>();
   prog->quantifier = q.quantifier;
   prog->pattern_count = q.patterns.size();
   prog->sig = sig;
   prog->stats_epoch = stats_epoch;
-  prog->seed_idx = seed_idx;
   prog->planner = q.use_planner;
   prog->retract.reserve(q.patterns.size());
   for (const TuplePattern& p : q.patterns) {
@@ -386,7 +375,7 @@ std::unique_ptr<MatchProgram> compile_program(
   for (std::size_t i = 0; i < sig_slots.size(); ++i) {
     if (sig.test(i)) bound.insert(sig_slots[i]);
   }
-  prog->steps = compile_join(q.patterns, q.use_planner, seed_idx, bound);
+  prog->steps = compile_join(q.patterns, q.use_planner, bound);
   compile_expr(q.guard, prog->guard);
   prog->num_regs = max_regs(prog->steps, prog->guard);
 
@@ -396,7 +385,7 @@ std::unique_ptr<MatchProgram> compile_program(
   for (const NegatedGroup& g : q.negations) {
     NegProgram np;
     BoundSet nb = bound;
-    np.steps = compile_join(g.patterns, q.use_planner, PlanCache::kNoSeed, nb);
+    np.steps = compile_join(g.patterns, q.use_planner, nb);
     compile_expr(g.guard, np.guard);
     prog->num_regs = std::max(prog->num_regs, max_regs(np.steps, np.guard));
     widest_negation = std::max(widest_negation, np.steps.size());
@@ -434,19 +423,16 @@ PlanCache::~PlanCache() {
 
 const MatchProgram* PlanCache::find(const Snapshot& snap,
                                     const BindingSignature& sig,
-                                    std::size_t seed_idx, bool planner) {
+                                    bool planner) {
   for (std::size_t i = 0; i < snap.size; ++i) {
     const MatchProgram* e = snap.entries[i];
-    if (e->sig == sig && e->seed_idx == seed_idx && e->planner == planner) {
-      return e;
-    }
+    if (e->sig == sig && e->planner == planner) return e;
   }
   return nullptr;
 }
 
 const MatchProgram* PlanCache::acquire(const Query& q, const Env& env,
-                                       std::uint64_t stats_epoch,
-                                       std::size_t seed_idx) {
+                                       std::uint64_t stats_epoch) {
   BindingSignature sig;
   if (sig_slots_.size() > 64) sig.high.resize((sig_slots_.size() - 1) / 64);
   for (std::size_t i = 0; i < sig_slots_.size(); ++i) {
@@ -456,23 +442,22 @@ const MatchProgram* PlanCache::acquire(const Query& q, const Env& env,
   // The hit path: one acquire load of the published snapshot. The
   // caller's Guard keeps it, and the program returned from it, alive.
   const MatchProgram* hit = find(*snapshot_.load(std::memory_order_acquire),
-                                 sig, seed_idx, q.use_planner);
+                                 sig, q.use_planner);
   if (hit != nullptr && hit->stats_epoch == stats_epoch) {
     plan_cache_stats().hits.add();
     return hit;
   }
-  return compile_and_publish(q, sig, stats_epoch, seed_idx);
+  return compile_and_publish(q, sig, stats_epoch);
 }
 
 const MatchProgram* PlanCache::compile_and_publish(const Query& q,
                                                    const BindingSignature& sig,
-                                                   std::uint64_t stats_epoch,
-                                                   std::size_t seed_idx) {
+                                                   std::uint64_t stats_epoch) {
   PlanCacheStats& stats = plan_cache_stats();
   std::lock_guard<std::mutex> lock(mu_);
   // Writers are serialized here, so the snapshot cannot change under us.
   const Snapshot* cur = snapshot_.load(std::memory_order_relaxed);
-  const MatchProgram* raced = find(*cur, sig, seed_idx, q.use_planner);
+  const MatchProgram* raced = find(*cur, sig, q.use_planner);
   if (raced != nullptr && raced->stats_epoch == stats_epoch) {
     // Another thread compiled this key while we waited for the lock.
     stats.hits.add();
@@ -482,7 +467,7 @@ const MatchProgram* PlanCache::compile_and_publish(const Query& q,
   // Compile before touching the entries: if compilation throws, the
   // published snapshot and everything it points to stay intact.
   std::unique_ptr<const MatchProgram> prog =
-      compile_program(q, sig, sig_slots_, stats_epoch, seed_idx);
+      compile_program(q, sig, sig_slots_, stats_epoch);
   stats.misses.add();
   stats.compiles.add();
 
@@ -563,7 +548,6 @@ struct Execution {
   const TupleSource& source;
   Env& env;
   const FunctionRegistry* fns;
-  const std::vector<const Record*>* seeds;
   ScratchLease lease;
   std::vector<std::int32_t>& undo;
   std::span<Value> regs;
@@ -571,13 +555,8 @@ struct Execution {
   std::span<const Record*> neg_chosen;  // the running negation's join
 
   Execution(const MatchProgram& p, const TupleSource& s, Env& e,
-            const FunctionRegistry* f, const std::vector<const Record*>* sd)
-      : prog(p),
-        source(s),
-        env(e),
-        fns(f),
-        seeds(sd),
-        undo(lease.get().undo) {
+            const FunctionRegistry* f)
+      : prog(p), source(s), env(e), fns(f), undo(lease.get().undo) {
     Scratch& sc = lease.get();
     undo.clear();
     const auto nregs = static_cast<std::size_t>(p.num_regs);
@@ -620,7 +599,6 @@ struct Execution {
   /// One linear pass over the candidate; on reject, bindings this
   /// candidate made are already undone.
   bool match_candidate(const StepPlan& sp, const Tuple& t) {
-    if (sp.check_arity && t.arity() != sp.arity) return false;
     const std::size_t mark = undo.size();
     for (const TermOp& op : sp.ops) {
       const Value& field = t[op.field];
@@ -674,11 +652,6 @@ struct Execution {
     };
 
     switch (sp.scan) {
-      case StepPlan::Scan::Seed:
-        for (const Record* r : *seeds) {
-          if (!try_record(*r)) break;
-        }
-        return keep_going;
       case StepPlan::Scan::ExactConst:
       case StepPlan::Scan::ExactSlot:
       case StepPlan::Scan::ExactExpr: {
@@ -755,7 +728,7 @@ struct Execution {
 
 QueryOutcome vm_execute(const MatchProgram& prog, const TupleSource& source,
                         Env& env, const FunctionRegistry* fns) {
-  Execution ex(prog, source, env, fns, nullptr);
+  Execution ex(prog, source, env, fns);
   QueryOutcome out;
 
   if (prog.quantifier == Quantifier::Exists) {
@@ -794,20 +767,6 @@ QueryOutcome vm_execute(const MatchProgram& prog, const TupleSource& source,
   }
   out.success = !violated;
   return out;
-}
-
-bool vm_satisfiable_seeded(const MatchProgram& prog, const TupleSource& source,
-                           Env& env, const FunctionRegistry* fns,
-                           const std::vector<const Record*>& seeds) {
-  Execution ex(prog, source, env, fns, &seeds);
-  bool witness = false;
-  ex.run_steps(prog.steps, ex.chosen, 0, [&]() -> bool {
-    if (!ex.guard_pass(prog.guard)) return true;
-    witness = true;
-    return false;
-  });
-  ex.undo_to(0);  // bindings never escape the seeded check
-  return witness;
 }
 
 }  // namespace sdl

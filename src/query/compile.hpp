@@ -9,7 +9,7 @@
 // planner's decisions depend only on WHICH slots are bound when a pattern
 // is picked — a pattern is ready when every variable its computed terms
 // read is bound — never on the bound values. So we compile once per
-// (binding signature, seed index, planner flag, index epoch): replay the
+// (binding signature, planner flag, index epoch): replay the
 // planner's pick loop to fix the join order, pre-classify every scan
 // (exact bucket / secondary probe / arity sweep), flatten each pattern
 // into term ops, and compile guards and computed terms to bytecode.
@@ -59,7 +59,6 @@ struct TermOp {
 /// scanned, and the term ops that accept/reject each candidate.
 struct StepPlan {
   enum class Scan : std::uint8_t {
-    Seed,        // candidates come from the caller's delta-seed list
     ExactConst,  // literal head: bucket key precomputed at compile time
     ExactSlot,   // variable head bound upstream: key from env[head_slot]
     ExactExpr,   // computed head: key from exprs[0] at scan time (trap:
@@ -75,10 +74,6 @@ struct StepPlan {
   IndexKey key;                // ExactConst
   std::int32_t head_slot = -1; // ExactSlot
   std::uint32_t arity = 0;
-  /// Seed scans draw from a caller-supplied record list that may hold any
-  /// arity; index scans (exact bucket or arity sweep) can only yield the
-  /// step's arity, so the per-candidate check is compiled out for them.
-  bool check_arity = false;
   Second second = Second::None;  // secondary-index probe (Exact scans only)
   Value second_const;
   std::int32_t second_slot = -1;
@@ -129,7 +124,6 @@ struct MatchProgram {
   // Cache key.
   BindingSignature sig;
   std::uint64_t stats_epoch = 0;
-  std::size_t seed_idx = 0;  // PlanCache::kNoSeed when unseeded
   bool planner = true;
 };
 
@@ -151,7 +145,7 @@ PlanCacheStats& plan_cache_stats();
 
 /// Per-query compiled-plan cache, created by Query::resolve and shared by
 /// copies of the query (same resolved shape ⇒ same plans). Entries are
-/// keyed by (binding signature, seed index, planner flag, index-statistics
+/// keyed by (binding signature, planner flag, index-statistics
 /// epoch); an epoch bump — the dataspace resized a bucket table, i.e. its
 /// population drifted materially — invalidates on next lookup.
 ///
@@ -164,7 +158,6 @@ PlanCacheStats& plan_cache_stats();
 /// holding it stays safe until its Guard drops.
 class PlanCache {
  public:
-  static constexpr std::size_t kNoSeed = static_cast<std::size_t>(-1);
   /// Entries kept per query; the oldest is evicted past this.
   static constexpr std::size_t kCapacity = 16;
 
@@ -180,8 +173,7 @@ class PlanCache {
   /// borrowed, and stays valid until that Guard drops (and while the
   /// cache lives).
   [[nodiscard]] const MatchProgram* acquire(const Query& q, const Env& env,
-                                            std::uint64_t stats_epoch,
-                                            std::size_t seed_idx);
+                                            std::uint64_t stats_epoch);
 
  private:
   /// Immutable once published; programs are owned by the cache, not by
@@ -194,13 +186,11 @@ class PlanCache {
   /// The entry for this key in `snap`, whatever its epoch; null if none.
   [[nodiscard]] static const MatchProgram* find(const Snapshot& snap,
                                                 const BindingSignature& sig,
-                                                std::size_t seed_idx,
                                                 bool planner);
   /// The miss path: under mu_, re-checks, compiles, publishes.
   const MatchProgram* compile_and_publish(const Query& q,
                                           const BindingSignature& sig,
-                                          std::uint64_t stats_epoch,
-                                          std::size_t seed_idx);
+                                          std::uint64_t stats_epoch);
 
   /// Every slot whose boundness can change the plan: pattern variables and
   /// the variables computed pattern terms read (outer and negated).
@@ -221,13 +211,5 @@ void compile_expr(const ExprPtr& e, vm::ExprProgram& out);
 [[nodiscard]] QueryOutcome vm_execute(const MatchProgram& prog,
                                       const TupleSource& source, Env& env,
                                       const FunctionRegistry* fns);
-
-/// Seeded satisfiability on a compiled program (the PR 8 wakeup check run
-/// natively): pattern prog.seed_idx draws candidates from `seeds`.
-/// Bindings never escape.
-[[nodiscard]] bool vm_satisfiable_seeded(const MatchProgram& prog,
-                                         const TupleSource& source, Env& env,
-                                         const FunctionRegistry* fns,
-                                         const std::vector<const Record*>& seeds);
 
 }  // namespace sdl

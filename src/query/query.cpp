@@ -41,36 +41,12 @@ QueryOutcome Query::evaluate(const TupleSource& source, Env& env,
   clear_locals(env);
   const epoch::Guard guard;  // keeps the borrowed program alive
   const MatchProgram* prog =
-      cache.acquire(*this, env, source.stats_epoch(), PlanCache::kNoSeed);
+      cache.acquire(*this, env, source.stats_epoch());
   QueryOutcome out = vm_execute(*prog, source, env, fns);
   // On Exists-success env keeps the winning bindings: action expressions
   // read them.
   if (!out.success || quantifier == Quantifier::ForAll) clear_locals(env);
   return out;
-}
-
-bool Query::satisfiable_seeded(const TupleSource& source, Env& env,
-                               const FunctionRegistry* fns,
-                               std::size_t seed_idx,
-                               const std::vector<const Record*>& seeds) const {
-  PlanCache& cache = plans(plan_cache_);
-  // Outside the monotone fragment the seeded shortcut is unsound — answer
-  // "maybe satisfiable" so the caller takes the full path. States are
-  // never created for these shapes; this is belt-and-braces.
-  if (quantifier != Quantifier::Exists || !negations.empty() ||
-      seed_idx >= patterns.size()) {
-    return true;
-  }
-  clear_locals(env);
-  // Plans are keyed by seed index as well as signature. Bindings never
-  // escape — a positive answer falls through to the full execute(), which
-  // rebinds from scratch under the same locks.
-  const epoch::Guard guard;  // keeps the borrowed program alive
-  const MatchProgram* prog =
-      cache.acquire(*this, env, source.stats_epoch(), seed_idx);
-  const bool witness = vm_satisfiable_seeded(*prog, source, env, fns, seeds);
-  clear_locals(env);
-  return witness;
 }
 
 std::vector<KeySpec> Query::read_set(const Env& env,

@@ -245,23 +245,6 @@ class Query {
 
   [[nodiscard]] std::string to_string() const;
 
-  /// Seeded satisfiability check — the delta-driven wakeup path
-  /// (src/query/incremental.hpp). Behaves like `evaluate(...).success`
-  /// for a monotone Exists query except that pattern `seed_idx` draws its
-  /// candidates from `seeds` (live records from the accumulated commit
-  /// delta) instead of scanning the source; every other pattern scans the
-  /// full window, so assignments combining several new tuples are still
-  /// found via whichever of them seeds. Bindings never escape (`env`'s
-  /// local slots are left cleared) — a positive answer falls through to
-  /// the full execute(), which rebinds identically. Conservatively
-  /// returns true (= take the full path) outside the monotone fragment.
-  /// Throws std::logic_error before resolve().
-  /// Caller must hold the engine's read locks covering the query's read
-  /// set; `seeds` must point into live index nodes under those locks.
-  [[nodiscard]] bool satisfiable_seeded(
-      const TupleSource& source, Env& env, const FunctionRegistry* fns,
-      std::size_t seed_idx, const std::vector<const Record*>& seeds) const;
-
   /// True when the query has no patterns and no negations (a pure guard,
   /// like Sum1's "k mod 2^(j+1) = 0" consensus conditions).
   [[nodiscard]] bool pure_guard() const {

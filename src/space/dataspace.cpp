@@ -231,15 +231,6 @@ void Dataspace::scan_key(const IndexKey& key, RecordFn fn) const {
   if (seen != 0) Shard::bump(counters.scanned, seen);
 }
 
-const Record* Dataspace::find(const IndexKey& key, TupleId id) const {
-  const Shard& shard = shards_[shard_of(key)];
-  const BucketNode* bucket = find_bucket(shard, key);
-  if (bucket == nullptr) return nullptr;
-  const auto it = bucket->position.find(id);
-  if (it == bucket->position.end()) return nullptr;
-  return &it->second->rec;
-}
-
 void Dataspace::scan_key_second(const IndexKey& key, const Value& second,
                                 RecordFn fn) const {
   const Shard& shard = shards_[shard_of(key)];

@@ -25,13 +25,13 @@
 //     commit with begin_shard_write/end_shard_write (the seqlock protocol
 //     below) and hold an epoch::Guard (erase and table growth defer frees
 //     through EBR);
-//   * locked reads (scan_*, find, count) require the shard at least SHARED;
+//   * locked reads (scan_*, count) require the shard at least SHARED;
 //   * OPTIMISTIC reads (the ShardedEngine read path) take no lock at all:
 //     inside an epoch::Guard, sample shard_version() (reject odd = writer
 //     in progress), traverse via scan_key, scan_key_second or scan_arity,
 //     then re-validate the sampled versions — identical ⇒ the traversal
 //     observed a consistent snapshot; changed ⇒ discard and retry. Only
-//     the writer-side `position` map (find, erase) is NOT optimistic-safe:
+//     the writer-side `position` map (erase, restore) is NOT optimistic-safe:
 //     it is a plain container read only under locks.
 // Whole-space operations (scan_arity, scan_all, snapshot) need every shard
 // held in the corresponding mode (or per-shard version validation).
@@ -184,15 +184,6 @@ class Dataspace {
   /// (shared mode suffices) OR is an optimistic reader inside an
   /// epoch::Guard with version validation (see file comment).
   void scan_key(const IndexKey& key, RecordFn fn) const;
-
-  /// O(1) lookup of a resident instance by bucket + id — the incremental
-  /// wakeup path's delta-liveness probe (src/query/incremental.hpp):
-  /// a delta entry whose instance has since been retracted must not seed
-  /// a join. Returns null when not resident. Goes through the writer-side
-  /// `position` map, so the caller must hold that shard's lock (shared
-  /// suffices) — NOT safe for optimistic readers. The returned pointer is
-  /// stable for as long as the caller holds the lock.
-  [[nodiscard]] const Record* find(const IndexKey& key, TupleId id) const;
 
   /// Visits only the records in bucket `key` whose SECOND field equals
   /// `second` — one walk of a field-1 index chain. This is what makes a

@@ -11,9 +11,9 @@
 
 namespace sdl {
 
-// Both engines funnel every query — execute, probe, probe_seeded, wakeup
-// re-check — through Query::evaluate / Query::satisfiable_seeded, which
-// run match programs from the per-query plan cache (query/compile.hpp).
+// Both engines funnel every query — execute, probe, wakeup re-check —
+// through Query::evaluate, which runs match programs from the per-query
+// plan cache (query/compile.hpp).
 QueryOutcome Engine::evaluate_query(const Transaction& txn, Env& env,
                                     const View* view) const {
   if (view != nullptr && !view->imports_everything()) {
@@ -215,8 +215,7 @@ std::vector<IndexKey> Engine::apply_effects(const Transaction& txn,
                                             const View* view,
                                             std::vector<TupleId>& asserted,
                                             bool tolerate_missing_retract,
-                                            DurableEffects* durable,
-                                            std::vector<DeltaEntry>* delta) {
+                                            DurableEffects* durable) {
   // Atomicity: materialize every assertion FIRST. A throwing field
   // expression (division by zero, a host function failing) must abort the
   // transaction with the dataspace untouched — "transactions ... either
@@ -246,46 +245,15 @@ std::vector<IndexKey> Engine::apply_effects(const Transaction& txn,
 
   for (Tuple& t : to_insert) {
     const IndexKey key = IndexKey::of(t);
-    // The WAL and the wakeup delta both need the tuple after insert()
-    // consumes it — copy first (independent gates; rarely both armed).
+    // The WAL needs the tuple after insert() consumes it — copy first.
     Tuple wal_copy;
     if (durable != nullptr) wal_copy = t;
-    Tuple delta_copy;
-    if (delta != nullptr) delta_copy = t;
     const TupleId id = space_.insert(std::move(t), owner);
     asserted.push_back(id);
     if (durable != nullptr) durable->asserts.emplace_back(id, std::move(wal_copy));
-    if (delta != nullptr) {
-      delta->push_back(DeltaEntry{key, id, std::move(delta_copy)});
-    }
     touched.push_back(key);
   }
   return touched;
-}
-
-bool Engine::seeded_check_locked(const Transaction& txn, Env& env,
-                                 const std::vector<KeySpec>& specs,
-                                 const std::vector<DeltaEntry>& entries) const {
-  const DataspaceSource source(space_);
-  std::vector<const Record*> seeds;
-  const std::size_t n = std::min(specs.size(), txn.query.patterns.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    seeds.clear();
-    for (const DeltaEntry& e : entries) {
-      if (!IncrementalState::relevant(specs[i], e.key)) continue;
-      // Liveness: an entry retracted since its commit must not seed (the
-      // full evaluation would not see it either). find() goes through the
-      // writer-side position map — legal here, we hold the shard's lock.
-      const Record* live = space_.find(e.key, e.id);
-      if (live != nullptr) seeds.push_back(live);
-    }
-    if (seeds.empty()) continue;
-    if (txn.query.satisfiable_seeded(source, env, fns_, i, seeds)) return true;
-  }
-  // Every pattern's seeded enumeration came up empty: no satisfying
-  // assignment uses any new tuple, so by monotonicity the query is
-  // exactly as unsatisfiable as the last full evaluation left it.
-  return false;
 }
 
 TxnResult execute_blocking(Engine& engine, const Transaction& txn, Env& env,
@@ -341,12 +309,6 @@ TxnResult GlobalLockEngine::execute(const Transaction& txn, Env& env,
   const std::uint64_t t_start = m != nullptr ? obs::now_ns() : 0;
   TxnResult result;
   std::vector<IndexKey> touched;
-  // Wakeup-delta capture gate: copy assert tuples only while some parked
-  // query carries retained incremental state. A listener subscribing
-  // after this sample misses the delta — harmless, its publish arrives
-  // with delta == null and invalidates the state (NoDelta fallback).
-  const bool want_delta = waits_.incremental_listeners() > 0;
-  std::vector<DeltaEntry> delta;
   std::uint64_t t_released = 0;
   {
     std::unique_lock lock(mutex_, std::defer_lock);
@@ -370,8 +332,7 @@ TxnResult GlobalLockEngine::execute(const Transaction& txn, Env& env,
       DurableEffects& durable = durable_scratch();
       touched = apply_effects(txn, outcome, env, owner, view, result.asserted,
                               /*tolerate_missing_retract=*/false,
-                              persist_ != nullptr ? &durable : nullptr,
-                              want_delta ? &delta : nullptr);
+                              persist_ != nullptr ? &durable : nullptr);
       result.success = true;
       record_history(owner, txn, outcome, result.asserted);
       record_wal(owner, durable);
@@ -386,7 +347,7 @@ TxnResult GlobalLockEngine::execute(const Transaction& txn, Env& env,
   if (result.success) {
     stats_.locked_commits.add();
     if (!touched.empty()) {
-      waits_.publish_batch(std::move(touched), want_delta ? &delta : nullptr);
+      waits_.publish_batch(std::move(touched));
     }
     maybe_snapshot_after_commit();
   } else {
@@ -405,14 +366,6 @@ bool GlobalLockEngine::probe(const Transaction& txn, Env& env,
   stats_.probes.add();
   std::scoped_lock lock(mutex_);
   return evaluate_query(txn, env, view).success;
-}
-
-bool GlobalLockEngine::probe_seeded(const Transaction& txn, Env& env,
-                                    const std::vector<KeySpec>& specs,
-                                    const std::vector<DeltaEntry>& entries) {
-  stats_.probes.add();
-  std::scoped_lock lock(mutex_);
-  return seeded_check_locked(txn, env, specs, entries);
 }
 
 void GlobalLockEngine::exclusive(const std::function<std::vector<IndexKey>()>& fn) {
@@ -633,12 +586,6 @@ TxnResult ShardedEngine::execute(const Transaction& txn, Env& env,
     return execute_blind_assert(txn, env, owner, view, m, t_start);
   }
 
-  // Wakeup-delta capture gate (see GlobalLockEngine::execute): sampled
-  // before the locks; a listener subscribing later gets invalidated by
-  // the delta-less publish instead — conservative, never wrong.
-  const bool want_delta = waits_.incremental_listeners() > 0;
-  std::vector<DeltaEntry> delta;
-
   const LockPlan plan = plan_locks(txn, env);
   HeldLocks held;
   const std::uint64_t t_wait0 = m != nullptr ? obs::now_ns() : 0;
@@ -682,13 +629,11 @@ TxnResult ShardedEngine::execute(const Transaction& txn, Env& env,
         acquire(plan, held);
         touched = apply_effects(txn, outcome, env, owner, view,
                                 result.asserted,
-                                /*tolerate_missing_retract=*/true, durable_out,
-                                want_delta ? &delta : nullptr);
+                                /*tolerate_missing_retract=*/true, durable_out);
       } else {
         touched = apply_effects(txn, outcome, env, owner, view,
                                 result.asserted,
-                                /*tolerate_missing_retract=*/false, durable_out,
-                                want_delta ? &delta : nullptr);
+                                /*tolerate_missing_retract=*/false, durable_out);
       }
       record_wal(owner, durable);
     }
@@ -709,7 +654,7 @@ TxnResult ShardedEngine::execute(const Transaction& txn, Env& env,
   if (result.success) {
     stats_.locked_commits.add();
     if (!touched.empty()) {
-      waits_.publish_batch(std::move(touched), want_delta ? &delta : nullptr);
+      waits_.publish_batch(std::move(touched));
     }
     maybe_snapshot_after_commit();
   } else {
@@ -816,10 +761,6 @@ TxnResult ShardedEngine::execute_blind_assert(const Transaction& txn, Env& env,
   const std::uint64_t t_locked = m != nullptr ? obs::now_ns() : 0;
   if (m != nullptr) m->txn_lock_wait_ns->record(t_locked - t_wait0);
 
-  // Wakeup-delta capture gate (see GlobalLockEngine::execute).
-  const bool want_delta = waits_.incremental_listeners() > 0;
-  std::vector<DeltaEntry> delta;
-
   std::vector<IndexKey> touched;
   if (inject_commit_fault(txn, /*query_succeeded=*/true)) {
     result.injected_fault = true;  // effects withheld; retry is safe
@@ -831,12 +772,9 @@ TxnResult ShardedEngine::execute_blind_assert(const Transaction& txn, Env& env,
       const IndexKey key = IndexKey::of(t);
       Tuple wal_copy;
       if (persist_ != nullptr) wal_copy = t;
-      Tuple delta_copy;
-      if (want_delta) delta_copy = t;
       const TupleId id = space_.insert(std::move(t), owner);
       result.asserted.push_back(id);
       if (persist_ != nullptr) durable.asserts.emplace_back(id, std::move(wal_copy));
-      if (want_delta) delta.push_back(DeltaEntry{key, id, std::move(delta_copy)});
       touched.push_back(key);
     }
     result.success = true;
@@ -856,7 +794,7 @@ TxnResult ShardedEngine::execute_blind_assert(const Transaction& txn, Env& env,
     stats_.locked_commits.add();
     stats_.blind_asserts.add();
     if (!touched.empty()) {
-      waits_.publish_batch(std::move(touched), want_delta ? &delta : nullptr);
+      waits_.publish_batch(std::move(touched));
     }
     maybe_snapshot_after_commit();
   } else {
@@ -910,19 +848,6 @@ ShardedEngine::LockPlan ShardedEngine::read_plan(const Transaction& txn,
         plan.read_shards.end());
   }
   return plan;
-}
-
-bool ShardedEngine::probe_seeded(const Transaction& txn, Env& env,
-                                 const std::vector<KeySpec>& specs,
-                                 const std::vector<DeltaEntry>& entries) {
-  stats_.probes.add();
-  // No optimistic variant: find() walks the writer-side position map,
-  // which the seqlock protocol does not cover. The read plan covers every
-  // bucket the seeded enumeration can touch — delta entries are relevant
-  // to some pattern spec, so their shards are in the query's read set.
-  HeldLocks held;
-  acquire(read_plan(txn, env), held);
-  return seeded_check_locked(txn, env, specs, entries);
 }
 
 void ShardedEngine::exclusive(const std::function<std::vector<IndexKey>()>& fn) {

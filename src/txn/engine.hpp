@@ -158,19 +158,6 @@ class Engine {
   virtual bool probe(const Transaction& txn, Env& env,
                      const View* view = nullptr) = 0;
 
-  /// Delta-seeded probe — the incremental wakeup check
-  /// (src/query/incremental.hpp). Under READ locks covering the query's
-  /// read set, asks whether any satisfying assignment uses at least one
-  /// of the delta `entries` (each liveness-checked against the dataspace
-  /// first — stale entries whose instance was retracted are skipped).
-  /// For a monotone Exists query whose previous full evaluation failed,
-  /// false PROVES the query is still unsatisfiable; true is a hint like
-  /// probe()'s — the follow-up execute() revalidates. `specs` are the
-  /// park-frozen pattern-aligned key specs from the IncrementalState.
-  virtual bool probe_seeded(const Transaction& txn, Env& env,
-                            const std::vector<KeySpec>& specs,
-                            const std::vector<DeltaEntry>& entries) = 0;
-
   /// Runs `fn` under total mutual exclusion (every shard locked). `fn`
   /// may read and mutate space() directly and returns the touched keys,
   /// which are published after the locks are released. Used by the
@@ -293,26 +280,13 @@ class Engine {
   /// with the 2PL window broken a retraction target may legitimately have
   /// been consumed by a racing commit, and the point of the exercise is to
   /// let the checker (not a throw) report the violation.
-  /// `delta` (when non-null) additionally collects the commit's assert
-  /// set as DeltaEntries for WaitSet routing — engines pass it only while
-  /// waits_.incremental_listeners() > 0, so the tuple copies are paid
-  /// exactly when a parked query will consume them.
   std::vector<IndexKey> apply_effects(const Transaction& txn,
                                       const QueryOutcome& outcome,
                                       const Env& env, ProcessId owner,
                                       const View* view,
                                       std::vector<TupleId>& asserted,
                                       bool tolerate_missing_retract = false,
-                                      DurableEffects* durable = nullptr,
-                                      std::vector<DeltaEntry>* delta = nullptr);
-
-  /// Shared body of probe_seeded: for each pattern index with relevant,
-  /// still-live delta entries, runs the seeded join. Caller holds read
-  /// locks covering the query's read set (both find() and the full-window
-  /// scans of the non-seeded patterns ride them).
-  [[nodiscard]] bool seeded_check_locked(
-      const Transaction& txn, Env& env, const std::vector<KeySpec>& specs,
-      const std::vector<DeltaEntry>& entries) const;
+                                      DurableEffects* durable = nullptr);
 
   /// Records one commit with the history recorder, when armed. MUST be
   /// called with the commit's locks still held (the sequence number is
@@ -381,9 +355,6 @@ class GlobalLockEngine final : public Engine {
                     const View* view = nullptr) override;
   bool probe(const Transaction& txn, Env& env,
              const View* view = nullptr) override;
-  bool probe_seeded(const Transaction& txn, Env& env,
-                    const std::vector<KeySpec>& specs,
-                    const std::vector<DeltaEntry>& entries) override;
   void exclusive(const std::function<std::vector<IndexKey>()>& fn) override;
 
  private:
@@ -439,9 +410,6 @@ class ShardedEngine final : public Engine {
                     const View* view = nullptr) override;
   bool probe(const Transaction& txn, Env& env,
              const View* view = nullptr) override;
-  bool probe_seeded(const Transaction& txn, Env& env,
-                    const std::vector<KeySpec>& specs,
-                    const std::vector<DeltaEntry>& entries) override;
   void exclusive(const std::function<std::vector<IndexKey>()>& fn) override;
 
  private:
@@ -456,10 +424,9 @@ class ShardedEngine final : public Engine {
   };
   LockPlan plan_locks(const Transaction& txn, Env& env) const;
 
-  /// Read-only plan covering the query's whole read set (probes and the
-  /// seeded wakeup check): every bucket the query scans, shared mode —
-  /// even retract-tagged patterns contribute only read locks, because
-  /// nothing gets applied.
+  /// Read-only plan covering the query's whole read set (probes): every
+  /// bucket the query scans, shared mode — even retract-tagged patterns
+  /// contribute only read locks, because nothing gets applied.
   LockPlan read_plan(const Transaction& txn, Env& env) const;
 
   /// One execute()'s lock set; locks are acquired in ascending shard

@@ -12,8 +12,7 @@ void remove_ticket(std::vector<WaitSet::Ticket>& v, WaitSet::Ticket t) {
 }  // namespace
 
 WaitSet::Ticket WaitSet::subscribe(Interest interest, std::function<void()> wake,
-                                   bool* saturated,
-                                   std::shared_ptr<IncrementalState> state) {
+                                   bool* saturated) {
   // Park-set cap: a bucket already holding `cap` subscribers is a queue
   // that can only be drained one publish at a time — piling more parked
   // processes onto it converts overload into unbounded latency. The cap
@@ -37,11 +36,7 @@ WaitSet::Ticket WaitSet::subscribe(Interest interest, std::function<void()> wake
     }
     for (std::uint32_t a : interest.arities) by_arity_[a].push_back(ticket);
   }
-  if (state != nullptr) {
-    inc_listeners_.fetch_add(1, std::memory_order_release);
-  }
-  entries_.emplace(ticket,
-                   Entry{std::move(interest), std::move(wake), std::move(state)});
+  entries_.emplace(ticket, Entry{std::move(interest), std::move(wake)});
   return ticket;
 }
 
@@ -69,9 +64,6 @@ void WaitSet::unsubscribe(Ticket ticket) {
       }
     }
   }
-  if (it->second.state != nullptr) {
-    inc_listeners_.fetch_sub(1, std::memory_order_release);
-  }
   entries_.erase(it);
   live_subscribers_.fetch_sub(1, std::memory_order_release);
 }
@@ -80,8 +72,7 @@ void WaitSet::publish(const std::vector<IndexKey>& touched) {
   publish_batch(touched);
 }
 
-void WaitSet::publish_batch(std::vector<IndexKey> touched,
-                            const std::vector<DeltaEntry>* delta) {
+void WaitSet::publish_batch(std::vector<IndexKey> touched) {
   version_.fetch_add(1, std::memory_order_acq_rel);
 
   // Fast path: no subscribers, nothing to wake. (A subscriber appearing
@@ -123,15 +114,11 @@ void WaitSet::publish_batch(std::vector<IndexKey> touched,
   std::vector<std::function<void()>> to_wake;
   {
     std::scoped_lock lock(mutex_);
-    const bool everyone = wake_everyone || policy() == WakePolicy::WakeAll;
-    // Delta routing needs the key-matched ticket set even when the wake
-    // policy is WakeAll — state maintenance is by interest match, never
-    // by who happens to get woken (the E9 ablation must stay correct).
-    const bool route_delta =
-        inc_listeners_.load(std::memory_order_relaxed) > 0;
-    std::vector<Ticket> tickets;
-    if (!everyone || route_delta) {
-      tickets.assign(all_.begin(), all_.end());
+    if (wake_everyone || policy() == WakePolicy::WakeAll) {
+      to_wake.reserve(entries_.size());
+      for (const auto& [ticket, entry] : entries_) to_wake.push_back(entry.wake);
+    } else {
+      std::vector<Ticket> tickets(all_.begin(), all_.end());
       std::uint32_t last_arity = 0;
       bool have_arity = false;
       for (const IndexKey& k : touched) {
@@ -146,30 +133,9 @@ void WaitSet::publish_batch(std::vector<IndexKey> touched,
           tickets.insert(tickets.end(), it->second.begin(), it->second.end());
         }
       }
-      // A waiter subscribed to several touched keys is woken once (and
-      // its state gets the delta once).
+      // A waiter subscribed to several touched keys is woken once.
       std::sort(tickets.begin(), tickets.end());
       tickets.erase(std::unique(tickets.begin(), tickets.end()), tickets.end());
-    }
-    if (route_delta) {
-      // Invariant: every publish reaching a matched state either delivers
-      // this commit's exact assert set or invalidates the state — a state
-      // with pending entries and no invalidation provably holds ALL
-      // relevant asserts since its last take().
-      for (Ticket t : tickets) {
-        auto it = entries_.find(t);
-        if (it == entries_.end() || it->second.state == nullptr) continue;
-        if (delta != nullptr) {
-          it->second.state->deliver(*delta);
-        } else {
-          it->second.state->invalidate(IncFallbackReason::NoDelta);
-        }
-      }
-    }
-    if (everyone) {
-      to_wake.reserve(entries_.size());
-      for (const auto& [ticket, entry] : entries_) to_wake.push_back(entry.wake);
-    } else {
       to_wake.reserve(tickets.size());
       for (Ticket t : tickets) {
         auto it = entries_.find(t);

@@ -16,13 +16,13 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "control/overload.hpp"
 #include "fault/fault.hpp"
-#include "query/incremental.hpp"
 #include "space/dataspace.hpp"
 
 namespace sdl {
@@ -53,14 +53,8 @@ class WaitSet {
   /// The subscription is still registered — wakeup correctness is not
   /// negotiable — but the caller is expected to bound its park (the
   /// scheduler forces a short deadline so the watchdog sheds it).
-  ///
-  /// `state` (optional) attaches retained incremental-wakeup state to the
-  /// subscription: matching publishes route their commit delta into it
-  /// (src/query/incremental.hpp). The WaitSet holds a shared reference
-  /// until unsubscribe, so shedding a park frees the state with it.
   Ticket subscribe(Interest interest, std::function<void()> wake,
-                   bool* saturated = nullptr,
-                   std::shared_ptr<IncrementalState> state = nullptr);
+                   bool* saturated = nullptr);
 
   void unsubscribe(Ticket ticket);
 
@@ -76,19 +70,7 @@ class WaitSet {
   /// subscribed to several touched keys (or a composite consensus commit
   /// retracting N tuples from one bucket) wakes each subscriber once, not
   /// once per key. Engines and the consensus manager publish through this.
-  ///
-  /// `delta` (optional) is the commit's assert set, routed into the
-  /// IncrementalState of every KEY-MATCHED subscription that carries one
-  /// — routing is by interest match, independent of the wake policy, so a
-  /// WakeAll ablation still maintains states correctly. A null delta with
-  /// incremental listeners present means "effects unknown" (exclusive
-  /// composites, consensus fires, seeds, engines not capturing): every
-  /// matched state is invalidated instead, forcing those waiters onto the
-  /// full re-evaluation path. An EMPTY non-null delta is meaningful — a
-  /// retract-only commit asserts nothing, so matched states stay valid
-  /// and their next wakeup check is O(1).
-  void publish_batch(std::vector<IndexKey> touched,
-                     const std::vector<DeltaEntry>* delta = nullptr);
+  void publish_batch(std::vector<IndexKey> touched);
 
   /// Monotonic commit counter.
   [[nodiscard]] std::uint64_t version() const {
@@ -121,19 +103,10 @@ class WaitSet {
   /// Set while no subscribers churn (Runtime wiring time).
   void set_overload(control::OverloadControl* c) { overload_ = c; }
 
-  /// Count of live subscriptions carrying an IncrementalState — the
-  /// engines' delta-capture gate: a commit copies its assert tuples only
-  /// while someone is listening, so the feature off (or merely idle)
-  /// costs one relaxed load per commit.
-  [[nodiscard]] std::size_t incremental_listeners() const {
-    return inc_listeners_.load(std::memory_order_acquire);
-  }
-
  private:
   struct Entry {
     Interest interest;
     std::function<void()> wake;
-    std::shared_ptr<IncrementalState> state;  // null: plain subscription
   };
 
   std::atomic<WakePolicy> policy_;
@@ -145,8 +118,6 @@ class WaitSet {
   /// mutex entirely (otherwise every commit in the system serializes on
   /// it — measured as the scaling ceiling in experiment E6).
   std::atomic<std::size_t> live_subscribers_{0};
-  /// Subset of live_subscribers_ that carry an IncrementalState.
-  std::atomic<std::size_t> inc_listeners_{0};
 
   mutable std::mutex mutex_;  // guards the three maps below
   std::unordered_map<Ticket, Entry> entries_;

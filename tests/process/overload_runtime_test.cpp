@@ -97,15 +97,23 @@ TEST(OverloadRuntime, SaturatedParkBucketIsShedByWatchdog) {
                            .timeout(-1)
                            .build())});
   rt.define(std::move(def));
-  rt.spawn("Lonely");
-  rt.spawn("Lonely");
-  rt.spawn("Lonely");
+  const ProcessId a = rt.spawn("Lonely");
+  const ProcessId b = rt.spawn("Lonely");
+  const ProcessId c = rt.spawn("Lonely");
   const RunReport report = rt.run();
   EXPECT_EQ(report.timed_out.size(), 2u)
       << "overflow parks must be shed, the under-cap park kept";
   EXPECT_EQ(report.still_parked, 1u);
   EXPECT_GE(rt.overload()->stats().park_saturated.load(), 2u);
+  // The shed parks' subscriptions die with them.
   EXPECT_EQ(rt.waits().subscriber_count(), 1u);
+  // Tear down the survivor too (killing the already-shed ones is a no-op):
+  // kill + run drains every subscription.
+  rt.scheduler().kill(a);
+  rt.scheduler().kill(b);
+  rt.scheduler().kill(c);
+  rt.run();
+  EXPECT_EQ(rt.waits().subscriber_count(), 0u);
 }
 
 TEST(OverloadRuntime, RetryBudgetBoundsTransientCommitRetries) {

@@ -196,5 +196,60 @@ TEST(SchedulerEdgeTest, ReplicationWidthOneAccounting) {
   EXPECT_EQ(report.completed, 2u);  // parent + one replicant
 }
 
+TEST(SchedulerEdgeTest, NonEnablingWakeIsAnsweredByTheProbe) {
+  // A parked delayed transaction re-checks on every wake through one path:
+  // the effect-free Engine::probe first, execute only when the probe says
+  // the query may now hold. A wake that does not enable the query must
+  // therefore cost a probe and no transaction attempt.
+  Runtime rt(small_opts());
+  ProcessDef waiter;
+  waiter.name = "Waiter";
+  waiter.body = seq({stmt(TxnBuilder(TxnType::Delayed)
+                              .exists({"x"})
+                              .match(pat({A("a"), V("x")}), true)
+                              .match(pat({A("go")}))
+                              .assert_tuple({lit(Value::atom("got")), evar("x")})
+                              .build())});
+  const auto feeder = [](const char* name, std::vector<ExprPtr> fields) {
+    ProcessDef def;
+    def.name = name;
+    def.body = seq({stmt(TxnBuilder().assert_tuple(std::move(fields)).build())});
+    return def;
+  };
+  rt.define(std::move(waiter));
+  rt.define(feeder("FeedA", {lit(Value::atom("a")), lit(1)}));
+  rt.define(feeder("FeedGo", {lit(Value::atom("go"))}));
+  rt.spawn("Waiter");
+  ASSERT_EQ(rt.run().still_parked, 1u) << "the waiter must park first";
+
+  // [a, 1] matches the waiter's first pattern, so the commit wakes it, but
+  // [go] is still missing: the probe fails and the waiter parks again.
+  EngineStats& es = rt.engine().stats();
+  const std::uint64_t probes0 = es.probes.load();
+  const std::uint64_t attempts0 = es.locked_attempts.load();
+  const std::uint64_t failures0 = es.failures();
+  const std::uint64_t wakes0 = rt.stats().wakes_delivered;
+  rt.spawn("FeedA");
+  ASSERT_EQ(rt.run().still_parked, 1u);
+  EXPECT_GT(rt.stats().wakes_delivered, wakes0) << "the feeder never woke it";
+  EXPECT_EQ(es.probes.load(), probes0 + 1) << "the wake skipped the probe";
+  EXPECT_EQ(es.locked_attempts.load(), attempts0 + 1)
+      << "only the feeder's own commit may count as an attempt";
+  EXPECT_EQ(es.failures(), failures0)
+      << "a non-enabling wake must not run a failing execute";
+  EXPECT_EQ(rt.space().count(tup("got", 1)), 0u);
+
+  // [go] enables it: the probe passes and the waiter commits exactly once.
+  const std::uint64_t commits0 = es.commits();
+  rt.spawn("FeedGo");
+  const RunReport report = rt.run();
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(report.completed, 2u);  // the feeder and the waiter
+  EXPECT_EQ(es.commits(), commits0 + 2);
+  EXPECT_EQ(rt.space().count(tup("got", 1)), 1u);
+  EXPECT_EQ(rt.space().count(tup("a", 1)), 0u);
+  EXPECT_EQ(rt.waits().subscriber_count(), 0u);
+}
+
 }  // namespace
 }  // namespace sdl

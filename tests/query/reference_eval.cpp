@@ -1,7 +1,6 @@
 #include "query/reference_eval.hpp"
 
 #include <functional>
-#include <limits>
 #include <stdexcept>
 
 namespace sdl {
@@ -26,25 +25,14 @@ bool guard_true(const ExprPtr& guard, const Env& env, const FunctionRegistry* fn
 /// whole enumeration (Exists / negation-witness early exit).
 class JoinEnumerator {
  public:
-  /// No pattern is delta-seeded.
-  static constexpr std::size_t kNoSeed = std::numeric_limits<std::size_t>::max();
-
-  /// When `seed_idx != kNoSeed`, pattern `seed_idx` enumerates the records
-  /// in `seeds` instead of scanning the source — the O(delta) leg of the
-  /// incremental wakeup check (src/query/incremental.hpp). `seeds` may be
-  /// wider than the pattern's bucket at the current binding depth (they
-  /// were routed by the park-frozen, widest key spec); match() filters.
   JoinEnumerator(const std::vector<TuplePattern>& patterns,
                  const TupleSource& source, Env& env, const FunctionRegistry* fns,
-                 bool planner, std::size_t seed_idx = kNoSeed,
-                 const std::vector<const Record*>* seeds = nullptr)
+                 bool planner)
       : patterns_(patterns),
         source_(source),
         env_(env),
         fns_(fns),
         planner_(planner),
-        seed_idx_(seed_idx),
-        seeds_(seeds),
         chosen_(patterns.size(), nullptr) {}
 
   /// Runs the enumeration; returns false iff on_complete stopped it.
@@ -83,19 +71,13 @@ class JoinEnumerator {
       int rank;
       if (!ready(patterns_[i])) {
         rank = 2;
-      } else if (i == seed_idx_) {
-        // The delta-seeded pattern has O(delta) candidates — cheaper than
-        // any index probe. Readiness still rules: a seeded pattern whose
-        // embedded expressions need other bindings waits its turn, exactly
-        // as in the unseeded plan.
-        rank = -1;
       } else {
         rank = patterns_[i].key_spec(env_, fns_).kind == KeySpec::Kind::Exact ? 0 : 1;
       }
       if (rank < best_rank) {
         best_rank = rank;
         best = i;
-        if (rank < 0 || (rank == 0 && seed_idx_ == kNoSeed)) break;
+        if (rank == 0) break;
       }
     }
     return best;
@@ -148,13 +130,6 @@ class JoinEnumerator {
       return keep_going;
     };
 
-    if (idx == seed_idx_) {
-      for (const Record* r : *seeds_) {
-        if (!try_record(*r)) break;
-      }
-      return keep_going;
-    }
-
     const KeySpec spec = p.key_spec(env_, fns_);
     if (spec.kind == KeySpec::Kind::Exact) {
       // A pinned second field upgrades the bucket scan to a probe on the
@@ -176,8 +151,6 @@ class JoinEnumerator {
   Env& env_;
   const FunctionRegistry* fns_;
   const bool planner_;
-  const std::size_t seed_idx_;
-  const std::vector<const Record*>* seeds_;
   std::vector<const Record*> chosen_;
   std::vector<int> undo_;
   const std::function<bool()>* on_complete_ = nullptr;
@@ -273,32 +246,6 @@ QueryOutcome reference_evaluate(const Query& q, const TupleSource& source,
   out.success = !violated;
   q.clear_locals(env);
   return out;
-}
-
-bool reference_satisfiable_seeded(const Query& q, const TupleSource& source,
-                                  Env& env, const FunctionRegistry* fns,
-                                  std::size_t seed_idx,
-                                  const std::vector<const Record*>& seeds) {
-  // Outside the monotone fragment the seeded shortcut is unsound — answer
-  // "maybe satisfiable" so the caller takes the full path.
-  if (q.quantifier != Quantifier::Exists || !q.negations.empty() ||
-      seed_idx >= q.patterns.size()) {
-    return true;
-  }
-  q.clear_locals(env);
-  JoinEnumerator join(q.patterns, source, env, fns, q.use_planner, seed_idx,
-                      &seeds);
-  bool witness = false;
-  join.enumerate([&]() -> bool {
-    if (!guard_true(q.guard, env, fns)) return true;
-    witness = true;
-    return false;
-  });
-  // Bindings never escape — a positive answer falls through to the full
-  // execute(), which rebinds from scratch under the same locks.
-  join.unwind();
-  q.clear_locals(env);
-  return witness;
 }
 
 }  // namespace sdl

@@ -14,8 +14,6 @@
 // (vm_equiv_test.cpp) and E13's compiled-vs-reference column call it.
 #pragma once
 
-#include <vector>
-
 #include "query/query.hpp"
 
 namespace sdl {
@@ -26,12 +24,5 @@ namespace sdl {
                                               const TupleSource& source,
                                               Env& env,
                                               const FunctionRegistry* fns);
-
-/// Query::satisfiable_seeded's contract, interpreted: pattern `seed_idx`
-/// draws its candidates from `seeds`; bindings never escape.
-[[nodiscard]] bool reference_satisfiable_seeded(
-    const Query& q, const TupleSource& source, Env& env,
-    const FunctionRegistry* fns, std::size_t seed_idx,
-    const std::vector<const Record*>& seeds);
 
 }  // namespace sdl

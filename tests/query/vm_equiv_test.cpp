@@ -9,9 +9,9 @@
 //
 //   * a shape sweep: every execution feature the compiler lowers
 //     (exact/arity/secondary scans, joins, wildcards, retract tags,
-//     negations, ForAll, seeded probes, guard traps, pre-bound
-//     signatures, computed terms and their traps, not-ready patterns,
-//     wide signatures) evaluated compiled-vs-reference on the same data;
+//     negations, ForAll, guard traps, pre-bound signatures, computed
+//     terms and their traps, not-ready patterns, wide signatures)
+//     evaluated compiled-vs-reference on the same data;
 //   * a seeded property test over random expression trees: the VM's
 //     value-or-trap must agree with Expr::eval's value-or-throw on every
 //     tree. Runs under the ASan+UBSan and TSan CI jobs, so the checked
@@ -67,37 +67,6 @@ struct DiffFixture {
     expect_equiv(oc, orf, env_c, env_r);
     last_env = env_c;
     return oc;
-  }
-
-  /// satisfiable_seeded, compiled vs reference; asserts equal answers and
-  /// equal final environments. Returns the compiled answer and env.
-  std::pair<bool, Env> seeded_diff(
-      const std::function<Query()>& make, std::size_t seed_idx,
-      const std::vector<const Record*>& seeds,
-      const std::function<void(SymbolTable&, Env&)>& pre = {}) {
-    SymbolTable st_c;
-    SymbolTable st_r;
-    Query qc = make();
-    Query qr = make();
-    qc.resolve(st_c);
-    qr.resolve(st_r);
-    Env env_c(static_cast<std::size_t>(st_c.size()));
-    Env env_r(static_cast<std::size_t>(st_r.size()));
-    if (pre) {
-      pre(st_c, env_c);
-      pre(st_r, env_r);
-    }
-    const DataspaceSource src(space);
-    const auto& stats = plan_cache_stats();
-    const std::uint64_t lookups0 = stats.hits.load() + stats.misses.load();
-    const bool sc = qc.satisfiable_seeded(src, env_c, &fns, seed_idx, seeds);
-    EXPECT_GT(stats.hits.load() + stats.misses.load(), lookups0)
-        << "compiled seeded check never engaged";
-    const bool sr =
-        reference_satisfiable_seeded(qr, src, env_r, &fns, seed_idx, seeds);
-    EXPECT_EQ(sc, sr) << "seed_idx=" << seed_idx;
-    EXPECT_EQ(env_c, env_r);
-    return {sc, env_c};
   }
 
   /// Query::evaluate, asserting that it went through the plan cache.
@@ -663,70 +632,6 @@ TEST(VmEquivTest, SixtyFiveVariablesCompile) {
   EXPECT_FALSE(q.evaluate(src, env, &f.fns).success);
 }
 
-TEST(VmEquivTest, SeededProbesAgree) {
-  DiffFixture f;
-  f.space.insert(tup("a", 1), 0);
-  f.space.insert(tup("a", 2), 0);
-  f.space.insert(tup("b", 2), 0);
-  // Collect the <a,_> records as the delta-seed list, the way the wakeup
-  // path would hand them over.
-  std::vector<const Record*> seeds;
-  f.space.scan_key(IndexKey::of_head(2, Value::atom("a")),
-                   [&seeds](const Record& r) {
-                     seeds.push_back(&r);
-                     return true;
-                   });
-  ASSERT_EQ(seeds.size(), 2u);
-  for (std::size_t seed_idx : {std::size_t{0}, std::size_t{1}}) {
-    const auto make = [] {
-      Query q;
-      q.local_vars = {"x"};
-      q.patterns = {pat({A("a"), V("x")}), pat({A("b"), V("x")})};
-      return q;
-    };
-    // seed_idx 0 seeds pattern <a,x> from the delta; seed_idx 1 seeds
-    // <b,x> with records that belong to bucket <a,_> — arity matches but
-    // heads don't, so the seeded candidates all fail the head check.
-    const auto [sc, env_c] = f.seeded_diff(make, seed_idx, seeds);
-    EXPECT_EQ(sc, seed_idx == 0);
-    for (const Value& v : env_c) {
-      EXPECT_TRUE(v.is_nil()) << "seeded probe leaked a binding";
-    }
-  }
-}
-
-TEST(VmEquivTest, SeededProbeOverComputedTermAgrees) {
-  DiffFixture f;
-  for (int k = 1; k <= 4; ++k) f.space.insert(tup(k, k * 11), 0);
-  f.space.insert(tup("head", 4), 0);
-  // The delta: the freshly asserted <3, 33> and <5, 50>.
-  const TupleId fresh = f.space.insert(tup(5, 50), 0);
-  std::vector<const Record*> seeds;
-  f.space.scan_arity(2, [&](const Record& r) {
-    if (r.id == fresh || r.tuple == tup(3, 33)) seeds.push_back(&r);
-    return true;
-  });
-  ASSERT_EQ(seeds.size(), 2u);
-  const auto k4j1 = [](SymbolTable& st, Env& env) {
-    env[static_cast<std::size_t>(*st.lookup("k"))] = Value(4);
-    env[static_cast<std::size_t>(*st.lookup("j"))] = Value(1);
-  };
-  // Sum1 seeded on its computed head (k-1 = 3 is in the delta) and on
-  // its variable head (no <4, _> in the delta).
-  EXPECT_TRUE(f.seeded_diff(sum1_query, 0, seeds, k4j1).first);
-  EXPECT_FALSE(f.seeded_diff(sum1_query, 1, seeds, k4j1).first);
-  // A seeded pattern that is not ready waits behind [head, x], as in the
-  // unseeded plan; x+1 = 5 then finds <5, 50> among the seeds.
-  const auto dependent = [] {
-    Query q;
-    q.local_vars = {"x", "b"};
-    q.patterns = {pat({E(add(evar("x"), lit(1))), V("b")}),
-                  pat({A("head"), V("x")})};
-    return q;
-  };
-  EXPECT_TRUE(f.seeded_diff(dependent, 0, seeds).first);
-}
-
 TEST(VmEquivTest, PlanCacheInvalidatesOnIndexGrowth) {
   DiffFixture f;
   f.space.insert(tup("g", 0), 0);
@@ -770,9 +675,6 @@ TEST(VmEquivTest, UnresolvedQueryHasNoFallback) {
   Env env(4);
   const DataspaceSource src(f.space);
   EXPECT_THROW((void)q.evaluate(src, env, &f.fns), std::logic_error);
-  const std::vector<const Record*> seeds;
-  EXPECT_THROW((void)q.satisfiable_seeded(src, env, &f.fns, 0, seeds),
-               std::logic_error);
 }
 
 // ---- Seeded expression property test (runs under ASan+UBSan in CI) ----
