@@ -1,7 +1,6 @@
 #include "consensus/consensus.hpp"
 
 #include <unordered_map>
-#include <unordered_set>
 
 #include "persist/persist.hpp"
 
@@ -343,15 +342,14 @@ bool ConsensusManager::sweep_once() {
         // semantics across a crash.
         persist::PersistManager* wal = engine_.persist();
         Engine::DurableEffects durable;
-        std::unordered_set<TupleId> retracted;
         for (const MemberPlan& plan : plans) {
           for (const QueryMatch& m : plan.outcome.matches) {
-            for (const auto& [key, id] : m.retract) {
-              if (!retracted.insert(id).second) continue;
-              if (space.erase(key, id) && wal != nullptr) {
-                durable.retracts.push_back(id);
-              }
-              touched.push_back(key);
+            for (const Record* r : m.retract) {
+              // Already gone: an earlier member or match took it, and an
+              // instance leaves D once.
+              if (!space.retract(*r)) continue;
+              if (wal != nullptr) durable.retracts.push_back(r->id);
+              touched.push_back(Dataspace::key_of(*r));
             }
           }
         }
@@ -374,7 +372,7 @@ bool ConsensusManager::sweep_once() {
             const IndexKey key = IndexKey::of(t);
             Tuple wal_copy;
             if (wal != nullptr) wal_copy = t;
-            const TupleId id = space.insert(std::move(t), p->pid);
+            const TupleId id = space.insert(key, std::move(t), p->pid);
             result.asserted.push_back(id);
             if (wal != nullptr) durable.asserts.emplace_back(id, std::move(wal_copy));
             touched.push_back(key);
@@ -384,10 +382,7 @@ bool ConsensusManager::sweep_once() {
             std::vector<TupleId> member_retracts;
             for (const QueryMatch& m : plan.outcome.matches) {
               reads.insert(reads.end(), m.reads.begin(), m.reads.end());
-              for (const auto& [key, id] : m.retract) {
-                (void)key;
-                member_retracts.push_back(id);
-              }
+              for (const Record* r : m.retract) member_retracts.push_back(r->id);
             }
             history->record_commit(p->pid, fire_id, std::move(reads),
                                    std::move(member_retracts), result.asserted,

@@ -65,7 +65,7 @@ class Tuple {
   using Fields = SmallVector<Value, kInlineFields>;
 
   Tuple() = default;
-  explicit Tuple(Fields fields) : fields_(std::move(fields)) {}
+  explicit Tuple(Fields&& fields) : fields_(std::move(fields)) {}
   explicit Tuple(std::vector<Value> fields) {
     fields_.reserve(fields.size());
     for (Value& v : fields) fields_.push_back(std::move(v));

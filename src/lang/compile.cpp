@@ -1,14 +1,26 @@
 #include "lang/compile.hpp"
 
+#include <string_view>
+#include <unordered_map>
+
 namespace sdl::lang {
 
 void load_program(Runtime& rt, Program program) {
+  // Each spawn name is resolved once, not once per spawn.
+  std::unordered_map<std::string_view, const ProcessDef*> defs;
   for (ProcessDef& def : program.defs) {
-    rt.define(std::move(def));
+    const ProcessDef& registered = rt.define(std::move(def));
+    defs.emplace(registered.name, &registered);
   }
   rt.seed(std::move(program.seeds));
   for (auto& [name, args] : program.spawns) {
-    rt.spawn(name, std::move(args));
+    auto [it, fresh] = defs.try_emplace(name);
+    if (fresh) it->second = rt.find_def(name);
+    if (it->second == nullptr) {
+      rt.spawn(name, std::move(args));  // throws: unknown process type
+    } else {
+      rt.spawn(*it->second, std::move(args));
+    }
   }
 }
 

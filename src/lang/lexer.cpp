@@ -1,26 +1,55 @@
 #include "lang/lexer.hpp"
 
 #include <charconv>
+#include <cstring>
+#include <memory>
 #include <string_view>
-#include <unordered_map>
 
 namespace sdl::lang {
 namespace {
 
-const std::unordered_map<std::string_view, Tok>& keywords() {
-  static const std::unordered_map<std::string_view, Tok> kw = {
-      {"process", Tok::KwProcess}, {"import", Tok::KwImport},
-      {"export", Tok::KwExport},   {"behavior", Tok::KwBehavior},
-      {"end", Tok::KwEnd},         {"exists", Tok::KwExists},
-      {"forall", Tok::KwForall},   {"when", Tok::KwWhen},
-      {"where", Tok::KwWhere},     {"let", Tok::KwLet},
-      {"spawn", Tok::KwSpawn},     {"exit", Tok::KwExit},
-      {"abort", Tok::KwAbort},     {"skip", Tok::KwSkip},
-      {"init", Tok::KwInit},       {"true", Tok::KwTrue},
-      {"false", Tok::KwFalse},     {"and", Tok::KwAnd},
-      {"or", Tok::KwOr},           {"not", Tok::KwNot},
-  };
-  return kw;
+// Keywords by length, then spelling: a word costs a switch and at most
+// four short compares, no hashing.
+Tok keyword_or_ident(std::string_view w) {
+  switch (w.size()) {
+    case 2:
+      if (w == "or") return Tok::KwOr;
+      break;
+    case 3:
+      if (w == "end") return Tok::KwEnd;
+      if (w == "let") return Tok::KwLet;
+      if (w == "and") return Tok::KwAnd;
+      if (w == "not") return Tok::KwNot;
+      break;
+    case 4:
+      if (w == "when") return Tok::KwWhen;
+      if (w == "exit") return Tok::KwExit;
+      if (w == "skip") return Tok::KwSkip;
+      if (w == "init") return Tok::KwInit;
+      if (w == "true") return Tok::KwTrue;
+      break;
+    case 5:
+      if (w == "where") return Tok::KwWhere;
+      if (w == "spawn") return Tok::KwSpawn;
+      if (w == "abort") return Tok::KwAbort;
+      if (w == "false") return Tok::KwFalse;
+      break;
+    case 6:
+      if (w == "import") return Tok::KwImport;
+      if (w == "export") return Tok::KwExport;
+      if (w == "exists") return Tok::KwExists;
+      if (w == "forall") return Tok::KwForall;
+      break;
+    case 7:
+      if (w == "process") return Tok::KwProcess;
+      break;
+    case 8:
+      if (w == "behavior") return Tok::KwBehavior;
+      break;
+    default:
+      break;
+  }
+  return Tok::Ident;
 }
 
 // SDL source is ASCII: plain range checks, not the locale-aware <cctype>
@@ -90,70 +119,99 @@ const char* tok_name(Tok t) {
   return "?";
 }
 
-void Lexer::advance() {
-  if (src_[i_] == '\n') {
-    ++line_;
-    col_ = 1;
-  } else {
-    ++col_;
+// A string literal without escapes is a view of the source between its
+// quotes; one with escapes is resolved into a string the token owns.
+// Called with i_ on the opening quote.
+void Lexer::lex_string(Token& out) {
+  const std::size_t n = src_.size();
+  const std::size_t start = i_ + 1;
+  std::size_t j = start;
+  for (; j < n && src_[j] != '"' && src_[j] != '\\'; ++j) {
+    if (src_[j] == '\n') {
+      ++line_;
+      line_start_ = j + 1;
+    }
   }
-  ++i_;
-}
-
-// Words and digit runs never span a newline: slice them out of the source
-// and advance the column by their length.
-template <typename Pred>
-std::string_view Lexer::take_while(Pred pred) {
-  const std::size_t start = i_;
-  while (i_ < src_.size() && pred(src_[i_])) ++i_;
-  col_ += static_cast<int>(i_ - start);
-  return src_.substr(start, i_ - start);
+  out.kind = Tok::Str;
+  if (j < n && src_[j] == '"') {
+    out.text = src_.substr(start, j - start);
+    i_ = j + 1;
+    return;
+  }
+  auto unescaped = std::make_shared<std::string>(src_.substr(start, j - start));
+  for (; j < n && src_[j] != '"'; ++j) {
+    char c = src_[j];
+    if (c == '\\' && j + 1 < n) {
+      c = src_[++j];
+      if (c == 'n') c = '\n';
+      else if (c == 't') c = '\t';
+    }
+    if (src_[j] == '\n') {
+      ++line_;
+      line_start_ = j + 1;
+    }
+    *unescaped += c;
+  }
+  if (j >= n) throw ParseError("unterminated string literal", out.line, out.column);
+  out.text = *unescaped;
+  out.unescaped_ = std::move(unescaped);
+  i_ = j + 1;
 }
 
 void Lexer::next(Token& out) {
   const std::size_t n = src_.size();
-  while (i_ < n) {
-    const char c = peek();
-    if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-      advance();
-    } else if (c == '#' || (c == '/' && peek(1) == '/')) {
-      while (i_ < n && peek() != '\n') advance();
+  const char* const s = src_.data();
+  std::size_t i = i_;
+  for (; i < n; ++i) {
+    const char c = s[i];
+    if (c == '\n') {
+      ++line_;
+      line_start_ = i + 1;
+    } else if (c == ' ' || c == '\t' || c == '\r') {
+      continue;
+    } else if (c == '#' || (c == '/' && i + 1 < n && s[i + 1] == '/')) {
+      const void* nl = std::memchr(s + i, '\n', n - i);
+      if (nl == nullptr) {
+        i = n;
+        break;
+      }
+      i = static_cast<std::size_t>(static_cast<const char*>(nl) - s) - 1;  // ++i: the '\n'
     } else {
       break;
     }
   }
-  out.text.clear();
+  i_ = i;
+  out.text = {};
   out.int_value = 0;
   out.float_value = 0;
   out.line = line_;
-  out.column = col_;
-  if (i_ >= n) {
+  out.column = static_cast<int>(i - line_start_) + 1;
+  if (i >= n) {
     out.kind = Tok::End;
     return;
   }
-  const char c = peek();
+  const char c = s[i];
 
   if (is_alpha(c) || c == '_') {
-    const std::string_view word = take_while(is_word);
-    auto it = keywords().find(word);
-    if (it != keywords().end()) {
-      out.kind = it->second;
-    } else {
-      out.kind = Tok::Ident;
-      out.text = word;
-    }
+    std::size_t j = i + 1;
+    while (j < n && is_word(s[j])) ++j;
+    const std::string_view word(s + i, j - i);
+    i_ = j;
+    out.kind = keyword_or_ident(word);
+    if (out.kind == Tok::Ident) out.text = word;
     return;
   }
 
   if (is_digit(c)) {
-    const std::size_t start = i_;
-    take_while(is_digit);
-    const bool is_float = peek() == '.' && is_digit(peek(1));
+    std::size_t j = i + 1;
+    while (j < n && is_digit(s[j])) ++j;
+    const bool is_float = j + 1 < n && s[j] == '.' && is_digit(s[j + 1]);
     if (is_float) {
-      advance();  // '.'
-      take_while(is_digit);
+      j += 2;
+      while (j < n && is_digit(s[j])) ++j;
     }
-    const std::string_view num = src_.substr(start, i_ - start);
+    i_ = j;
+    const std::string_view num(s + i, j - i);
     if (is_float) {
       out.kind = Tok::Float;
       try {
@@ -172,32 +230,15 @@ void Lexer::next(Token& out) {
   }
 
   if (c == '"') {
-    advance();
-    while (i_ < n && peek() != '"') {
-      if (peek() == '\\' && i_ + 1 < n) {
-        advance();
-        switch (peek()) {
-          case 'n': out.text += '\n'; break;
-          case 't': out.text += '\t'; break;
-          default: out.text += peek();
-        }
-        advance();
-      } else {
-        out.text += peek();
-        advance();
-      }
-    }
-    if (i_ >= n) throw ParseError("unterminated string literal", out.line, out.column);
-    advance();  // closing quote
-    out.kind = Tok::Str;
+    lex_string(out);
     return;
   }
 
   // Punctuation: one character, or two when `second` follows `c`.
-  advance();
+  i_ = i + 1;
   auto two = [&](char second, Tok yes, Tok no) {
     if (peek() != second) return no;
-    advance();
+    ++i_;
     return yes;
   };
   switch (c) {
@@ -227,7 +268,7 @@ void Lexer::next(Token& out) {
   }
 }
 
-std::vector<Token> lex(const std::string& source) {
+std::vector<Token> lex(std::string_view source) {
   Lexer lexer(source);
   std::vector<Token> out;
   do {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -40,13 +41,21 @@ enum class Tok {
   Assign,       // = (in let)
 };
 
+/// One token. `text` is the spelling of an Ident or Str: a view into the
+/// lexed source, except for a string literal with escapes, whose resolved
+/// spelling sits on the heap, shared by the token and its copies. So a
+/// token's `text` is valid while the source and the token (or a copy) live.
 struct Token {
   Tok kind = Tok::End;
-  std::string text;       // Ident / Str spelling
+  std::string_view text;
   std::int64_t int_value = 0;
   double float_value = 0;
   int line = 0;
   int column = 0;
+
+ private:
+  friend class Lexer;
+  std::shared_ptr<const std::string> unescaped_;  // a Str's spelling with escapes
 };
 
 /// Thrown on lexical and syntactic errors; carries position info.
@@ -74,26 +83,24 @@ class Lexer {
  public:
   explicit Lexer(std::string_view source) : src_(source) {}
 
-  /// Scans the next token into `out`, reusing its string buffer.
+  /// Scans the next token into `out`.
   void next(Token& out);
 
  private:
   char peek(std::size_t off = 0) const {
     return i_ + off < src_.size() ? src_[i_ + off] : '\0';
   }
-  void advance();
-  template <typename Pred>
-  std::string_view take_while(Pred pred);
+  void lex_string(Token& out);
 
   std::string_view src_;
   std::size_t i_ = 0;
   int line_ = 1;
-  int col_ = 1;
+  std::size_t line_start_ = 0;  // offset of the current line's first char
 };
 
 /// Tokenizes all of `source` with a Lexer. Throws ParseError on bad input.
-/// Always ends with a Tok::End token.
-std::vector<Token> lex(const std::string& source);
+/// Always ends with a Tok::End token. The tokens' spellings view `source`.
+std::vector<Token> lex(std::string_view source);
 
 /// Token kind name for diagnostics.
 const char* tok_name(Tok t);

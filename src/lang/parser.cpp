@@ -4,11 +4,22 @@
 
 #include <array>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <unordered_map>
 #include <unordered_set>
 
 namespace sdl::lang {
 namespace {
+
+// Transparent string hash: the scope set is probed with token spellings,
+// which are views into the source.
+struct NameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 class Parser {
  public:
@@ -46,27 +57,35 @@ class Parser {
   Lexer lexer_;
   // Tokens pulled so far, in a ring: the current token (always lexed),
   // at most one token of lookahead (at(kind, 1) is the deepest the grammar
-  // looks), and the token take() last returned.
-  std::array<Token, 3> ring_;
+  // looks), and the token take() last returned. Three slots are in use;
+  // the fourth makes the slot arithmetic a mask.
+  std::array<Token, 4> ring_;
+  static constexpr std::size_t kRingMask = 3;
   std::size_t head_ = 0;      // slot of the current token
   std::size_t buffered_ = 0;  // lexed, untaken tokens: 1 or 2
-  std::unordered_set<std::string> scope_;  // declared variable names
+  std::unordered_set<std::string, NameHash, std::equal_to<>> scope_;  // declared variable names
+  // Atoms met so far, by spelling (views into the source): each distinct
+  // spelling takes the process-wide intern table's lock once per parse.
+  std::unordered_map<std::string_view, Atom> atoms_;
+  std::string_view last_atom_spelling_;
+  Atom last_atom_;
+  std::vector<Value> args_;  // scratch for a top-level spawn's arguments
 
   // ---- token plumbing ----
   void pull() {
-    lexer_.next(ring_[(head_ + buffered_) % ring_.size()]);
+    lexer_.next(ring_[(head_ + buffered_) & kRingMask]);
     ++buffered_;
   }
   const Token& peek(std::size_t off = 0) {
     if (off >= buffered_) pull();
-    return ring_[(head_ + off) % ring_.size()];
+    return ring_[(head_ + off) & kRingMask];
   }
   bool at(Tok kind, std::size_t off = 0) { return peek(off).kind == kind; }
   // The returned token stays valid until the next take(). End is sticky.
   const Token& take() {
     const Token& t = ring_[head_];
     if (t.kind != Tok::End) {
-      head_ = (head_ + 1) % ring_.size();
+      head_ = (head_ + 1) & kRingMask;
       if (--buffered_ == 0) pull();
     }
     return t;
@@ -91,7 +110,21 @@ class Parser {
     throw ParseError(msg, t.line, t.column);
   }
 
-  bool declared(const std::string& name) const { return scope_.count(name) > 0; }
+  bool declared(std::string_view name) const {
+    return !scope_.empty() && scope_.find(name) != scope_.end();
+  }
+
+  // A run of one spelling (every [probe, k, v] of an init block) is
+  // answered by the last lookup, without hashing the spelling again.
+  Atom atom(std::string_view spelling) {
+    if (spelling != last_atom_spelling_) {
+      auto [it, fresh] = atoms_.try_emplace(spelling);
+      if (fresh) it->second = Atom::intern(spelling);
+      last_atom_spelling_ = spelling;
+      last_atom_ = it->second;
+    }
+    return last_atom_;
+  }
 
   // ---- top-level ----
   void parse_init(Program& program) {
@@ -99,7 +132,7 @@ class Parser {
     expect(Tok::KwInit, "'init'");
     expect(Tok::LBrace, "'{'");
     while (!accept(Tok::RBrace)) {
-      program.seeds.push_back(parse_const_tuple());
+      parse_const_tuple(program.seeds);
       accept(Tok::Semi);
     }
   }
@@ -107,52 +140,61 @@ class Parser {
   void parse_top_spawn(Program& program) {
     scope_.clear();  // spawn arguments are constants
     expect(Tok::KwSpawn, "'spawn'");
-    const std::string name = expect(Tok::Ident, "process name").text;
+    const std::string_view name = expect(Tok::Ident, "process name").text;
     expect(Tok::LParen, "'('");
-    std::vector<Value> args;
+    args_.clear();
     if (!at(Tok::RParen)) {
       do {
-        args.push_back(parse_const());
+        parse_const(args_);
       } while (accept(Tok::Comma));
     }
     expect(Tok::RParen, "')'");
     accept(Tok::Semi);
-    program.spawns.emplace_back(name, std::move(args));
+    // Collected in scratch, then copied once at their exact size.
+    program.spawns.emplace_back(std::string(name),
+                                std::vector<Value>(args_.begin(), args_.end()));
   }
 
-  Tuple parse_const_tuple() {
+  // Builds the tuple in place at the end of `out`: its fields move once,
+  // from the parse into the vector's slot.
+  void parse_const_tuple(std::vector<Tuple>& out) {
     expect(Tok::LBracket, "'['");
     Tuple::Fields fields;  // init tuples are mostly pairs and triples
     if (!at(Tok::RBracket)) {
       do {
-        fields.push_back(parse_const());
+        parse_const(fields);
       } while (accept(Tok::Comma));
     }
     expect(Tok::RBracket, "']'");
-    return Tuple(std::move(fields));
+    out.emplace_back(std::move(fields));
   }
 
-  // One constant field of an init tuple or top-level spawn. A lone literal
-  // or atom followed by ',', ']' or ')' is read straight to its Value;
-  // anything else is parsed as an expression and folded by eval_const,
-  // which gives the same values and the same errors.
-  Value parse_const() {
+  // One constant field of an init tuple or top-level spawn, constructed
+  // in place at the end of `out`. A lone literal or atom followed by ',',
+  // ']' or ')' is read straight to its Value; anything else is parsed as
+  // an expression and folded by eval_const, which gives the same values
+  // and the same errors.
+  template <class Values>
+  void parse_const(Values& out) {
     const Token& t = peek();
     const bool lone = at(Tok::Comma, 1) || at(Tok::RBracket, 1) || at(Tok::RParen, 1);
     if (lone) {
       switch (t.kind) {
-        case Tok::Int: return Value(take().int_value);
-        case Tok::Float: return Value(take().float_value);
-        case Tok::Str: return Value(std::string(take().text));
-        case Tok::KwTrue: take(); return Value(true);
-        case Tok::KwFalse: take(); return Value(false);
+        case Tok::Int: out.emplace_back(take().int_value); return;
+        case Tok::Float: out.emplace_back(take().float_value); return;
+        case Tok::Str: out.emplace_back(std::string(take().text)); return;
+        case Tok::KwTrue: take(); out.emplace_back(true); return;
+        case Tok::KwFalse: take(); out.emplace_back(false); return;
         case Tok::Ident:
-          if (!declared(t.text)) return Value::atom(take().text);
+          if (!declared(t.text)) {
+            out.emplace_back(atom(take().text));
+            return;
+          }
           break;
         default: break;
       }
     }
-    return eval_const(parse_expr());
+    out.push_back(eval_const(parse_expr()));
   }
 
   Value eval_const(const ExprPtr& e) {
@@ -173,12 +215,12 @@ class Parser {
   ProcessDef parse_process() {
     expect(Tok::KwProcess, "'process'");
     ProcessDef def;
-    def.name = expect(Tok::Ident, "process name").text;
+    def.name = std::string(expect(Tok::Ident, "process name").text);
     scope_.clear();
     if (accept(Tok::LParen)) {
       if (!at(Tok::RParen)) {
         do {
-          const std::string p = expect(Tok::Ident, "parameter name").text;
+          const std::string p(expect(Tok::Ident, "parameter name").text);
           def.params.push_back(p);
           scope_.insert(p);
         } while (accept(Tok::Comma));
@@ -209,7 +251,7 @@ class Parser {
       // is malformed, since a pattern starts with '['.
       const int line = peek().line;
       const int column = peek().column;
-      std::vector<std::string> vars;
+      std::vector<std::string_view> vars;
       while (at(Tok::Ident)) {
         vars.push_back(take().text);
         if (!accept(Tok::Comma)) break;
@@ -218,7 +260,7 @@ class Parser {
         throw ParseError(std::string("expected '[', found ") + tok_name(Tok::Ident),
                          line, column);
       }
-      for (const std::string& v : vars) scope_.insert(v);
+      for (const std::string_view v : vars) scope_.emplace(v);
     }
     ViewEntry entry;
     entry.pattern = parse_pattern();
@@ -289,7 +331,7 @@ class Parser {
       q.quantifier =
           take().kind == Tok::KwExists ? Quantifier::Exists : Quantifier::ForAll;
       do {
-        const std::string v = expect(Tok::Ident, "variable name").text;
+        const std::string v(expect(Tok::Ident, "variable name").text);
         q.local_vars.push_back(v);
         scope_.insert(v);
       } while (accept(Tok::Comma));
@@ -362,7 +404,7 @@ class Parser {
     }
     if (accept(Tok::KwLet)) {
       LetAction let;
-      let.name = expect(Tok::Ident, "let target").text;
+      let.name = std::string(expect(Tok::Ident, "let target").text);
       expect(Tok::Eq, "'='");
       let.value = parse_expr();
       scope_.insert(let.name);
@@ -371,7 +413,7 @@ class Parser {
     }
     if (accept(Tok::KwSpawn)) {
       SpawnAction s;
-      s.process_type = expect(Tok::Ident, "process name").text;
+      s.process_type = std::string(expect(Tok::Ident, "process name").text);
       expect(Tok::LParen, "'('");
       if (!at(Tok::RParen)) {
         do {
@@ -415,7 +457,7 @@ class Parser {
     // A bare declared identifier is a bindable variable term.
     if (at(Tok::Ident) && (at(Tok::Comma, 1) || at(Tok::RBracket, 1)) &&
         declared(peek().text)) {
-      return V(take().text);
+      return V(std::string(take().text));
     }
     return E(parse_expr());
   }
@@ -495,7 +537,7 @@ class Parser {
         return e;
       }
       case Tok::Ident: {
-        const std::string name = take().text;
+        const std::string_view name = take().text;
         if (at(Tok::LParen)) {  // host function call
           take();
           std::vector<ExprPtr> args;
@@ -505,10 +547,10 @@ class Parser {
             } while (accept(Tok::Comma));
           }
           expect(Tok::RParen, "')'");
-          return call_fn(name, std::move(args));
+          return call_fn(std::string(name), std::move(args));
         }
-        if (declared(name)) return evar(name);
-        return lit(Value::atom(name));
+        if (declared(name)) return evar(std::string(name));
+        return lit(Value(atom(name)));
       }
       default:
         fail(std::string("expected expression, found ") + tok_name(peek().kind));

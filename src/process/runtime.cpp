@@ -62,14 +62,12 @@ Runtime::Runtime(RuntimeOptions options)
       repl_leader_ =
           std::make_unique<repl::ReplLeader>(options_.repl, persist_mgr_.get());
     } else {
-      // The follower's id->IndexKey shadow map is seeded with whatever its
-      // own recovery restored (WAL retracts carry only ids), and the
-      // leader-seq watermark with what the re-logged repl_mark records
-      // prove durable — the reattach Hello resumes the stream there.
-      static const std::vector<std::pair<TupleId, Tuple>> kEmpty;
+      // The follower's id index starts with whatever its own recovery
+      // restored (WAL retracts carry only ids), and the leader-seq
+      // watermark with what the re-logged repl_mark records prove
+      // durable — the reattach Hello resumes the stream there.
       repl_follower_ = std::make_unique<repl::ReplFollower>(
           options_.repl, engine_.get(), persist_mgr_.get(),
-          persist_mgr_ ? persist_mgr_->recovered().live : kEmpty,
           persist_mgr_ ? persist_mgr_->recovered().repl_applied_seq : 0);
       if (options_.repl.connect_port != 0) {
         auto t = repl::net_connect(options_.repl.connect_port,
@@ -275,8 +273,9 @@ std::vector<TupleId> Runtime::seed(std::vector<Tuple> tuples) {
       // dedupes whatever is left.
       const IndexKey key = IndexKey::of(t);
       if (touched.empty() || touched.back() != key) touched.push_back(key);
-      // With a WAL the dataspace takes a copy and the record keeps `t`.
-      ids.push_back(space_.insert(persist_mgr_ ? Tuple(t) : std::move(t),
+      // Without a WAL `t` moves once, into its record node; with one the
+      // dataspace takes a copy and the WAL record keeps `t`.
+      ids.push_back(space_.insert(key, persist_mgr_ ? Tuple(t) : std::move(t),
                                   kEnvironmentProcess));
       if (persist_mgr_) wal_asserts.emplace_back(ids.back(), std::move(t));
     }

@@ -82,6 +82,14 @@ class Runtime {
   ProcessId spawn(const std::string& def_name, std::vector<Value> args = {}) {
     return scheduler_->spawn(def_name, std::move(args));
   }
+  /// Same, for a definition this runtime's define() returned.
+  ProcessId spawn(const ProcessDef& def, std::vector<Value> args = {}) {
+    return scheduler_->spawn(def, std::move(args));
+  }
+  /// The registered definition named `name`, or null.
+  [[nodiscard]] const ProcessDef* find_def(const std::string& name) const {
+    return scheduler_->find_def(name);
+  }
 
   /// Drives the society to quiescence. When the SDL_OBS flag is on, the
   /// report's `metrics` field carries the registry's human summary.

@@ -129,15 +129,19 @@ ProcessId Scheduler::spawn(const std::string& def_name, std::vector<Value> args)
   if (def == nullptr) {
     throw std::invalid_argument("Scheduler: unknown process type '" + def_name + "'");
   }
+  return spawn(*def, std::move(args));
+}
+
+ProcessId Scheduler::spawn(const ProcessDef& def, std::vector<Value> args) {
   ProcessId pid;
   {
     std::scoped_lock lock(society_mutex_);
     pid = next_pid_++;
-    society_.emplace(pid, std::make_unique<Process>(pid, *def, std::move(args)));
+    society_.emplace(pid, std::make_unique<Process>(pid, def, std::move(args)));
   }
   spawned_.fetch_add(1, std::memory_order_relaxed);
   if (trace_ != nullptr && trace_->enabled()) {
-    trace_->record(TraceKind::Spawn, pid, def_name);
+    trace_->record(TraceKind::Spawn, pid, def.name);
   }
   enqueue_new(pid);
   return pid;

@@ -148,6 +148,8 @@ class Scheduler {
   /// Creates a process instance in Ready state. Thread-safe; may be called
   /// from action lists (dynamic creation, §2.4) or the host program.
   ProcessId spawn(const std::string& def_name, std::vector<Value> args);
+  /// Same, for a definition already looked up (one registered here).
+  ProcessId spawn(const ProcessDef& def, std::vector<Value> args);
 
   /// Runs until the society is quiescent: every process terminated or
   /// irrecoverably parked. Starts workers on entry, stops them on exit.

@@ -717,7 +717,7 @@ struct Execution {
       if (chosen[i] == nullptr) continue;
       m.reads.push_back(chosen[i]->id);
       if (prog.retract[i] != 0) {
-        m.retract.emplace_back(IndexKey::of(chosen[i]->tuple), chosen[i]->id);
+        m.retract.push_back(chosen[i]);
       }
     }
     return m;

@@ -171,7 +171,7 @@ enum class Quantifier { Exists, ForAll };
 
 /// One satisfying assignment of a query: the tuple instances it bound and
 /// those tagged for retraction, plus (ForAll only) its environment. The
-/// id lists keep two entries inline, so the common one- and two-pattern
+/// lists keep two entries inline, so the common one- and two-pattern
 /// match allocates nothing for them.
 struct QueryMatch {
   /// ForAll: the environment at match time (parameters, lets and the
@@ -180,7 +180,12 @@ struct QueryMatch {
   /// evaluated with (Query::evaluate), and that env is what action lists
   /// and assertion templates read, so copying it here would be waste.
   Env binding;
-  SmallVector<std::pair<IndexKey, TupleId>, 2> retract;
+  /// The retract-tagged instances, as record handles into the dataspace
+  /// (Dataspace::retract). A handle is valid while the locks the match
+  /// was evaluated under are held, and once retracted while the
+  /// retracting writer's epoch::Guard is; a match that outlives its
+  /// commit keeps only `binding` and `reads` meaningful.
+  SmallVector<const Record*, 2> retract;
   /// Every instance the match bound (retract-tagged or not) — the read
   /// set the serializability checker validates a commit against.
   SmallVector<TupleId, 2> reads;

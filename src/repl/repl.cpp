@@ -459,13 +459,14 @@ void ReplLeader::session_main(Session* s) {
 
 ReplFollower::ReplFollower(
     ReplOptions opts, Engine* engine, persist::PersistManager* persist,
-    const std::vector<std::pair<TupleId, Tuple>>& initial,
     std::uint64_t recovered_applied_seq)
     : opts_(std::move(opts)), engine_(engine), persist_(persist) {
-  id_index_.reserve(initial.size());
-  for (const auto& [id, tuple] : initial) {
-    id_index_.emplace(id, IndexKey::of(tuple));
-  }
+  const Dataspace& space = engine_->space();
+  id_index_.reserve(space.size());
+  space.scan_all([&](const Record& r) {
+    id_index_.emplace(r.id, &r);
+    return true;
+  });
   // Restart continuity: the Hello resumes the stream at the watermark the
   // re-logged WAL's repl_mark records prove durable. At most it
   // UNDERestimates (torn marker tail) — the redelivered suffix is
@@ -500,6 +501,7 @@ std::uint64_t ReplFollower::detach() {
 
 std::uint64_t ReplFollower::promote() {
   const std::uint64_t fence = detach();
+  id_index_.clear();  // the applier is joined; local commits follow
   promotions_.fetch_add(1, std::memory_order_relaxed);
   writable_.store(true, std::memory_order_release);
   return fence;
@@ -617,7 +619,7 @@ bool ReplFollower::apply_snapshot(const std::string& file_bytes) {
   // engine stamps it into the trailing repl_mark record.
   reset.seq = snap.barrier_seq;
   reset.retracts.reserve(id_index_.size());
-  for (const auto& [id, key] : id_index_) reset.retracts.push_back(id);
+  for (const auto& [id, rec] : id_index_) reset.retracts.push_back(id);
   reset.asserts = std::move(snap.records);
   std::vector<persist::WalCommit> batch;
   batch.push_back(std::move(reset));

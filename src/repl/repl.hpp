@@ -199,16 +199,16 @@ struct ReplFollowerStats {
 class ReplFollower {
  public:
   /// `engine` applies batches; `persist` (may be null) re-logs them so
-  /// the follower is independently recoverable. `initial` seeds the
-  /// id -> IndexKey shadow map with the records already resident (the
-  /// follower's own recovery), since WAL retracts carry only ids.
+  /// the follower is independently recoverable. The id -> record-handle
+  /// index starts with the records already resident in the engine's
+  /// dataspace (the follower's own recovery), since WAL retracts carry
+  /// only ids; the dataspace must be quiescent during construction.
   /// `recovered_applied_seq` seeds the leader-seq watermark with what
   /// recovery restored from the re-logged WAL's repl_mark records
   /// (RecoveredState::repl_applied_seq) — the Hello handshake then
   /// resumes the stream there instead of redelivering from zero.
   ReplFollower(ReplOptions opts, Engine* engine,
                persist::PersistManager* persist,
-               const std::vector<std::pair<TupleId, Tuple>>& initial,
                std::uint64_t recovered_applied_seq = 0);
   ~ReplFollower();
   ReplFollower(const ReplFollower&) = delete;
@@ -265,9 +265,11 @@ class ReplFollower {
   std::thread applier_;
   std::atomic<bool> session_stop_{false};
 
-  // id -> IndexKey shadow of the local dataspace; owned by the applier
+  // id -> handle of every resident record; owned by the applier
   // (single-threaded between attach boundaries, mutated under exclusive).
-  std::unordered_map<TupleId, IndexKey> id_index_;
+  // Cleared on promotion: a promoted node commits locally, so the
+  // handles stop tracking its dataspace.
+  Engine::IdIndex id_index_;
 
   std::atomic<std::uint64_t> applied_seq_{0};
   std::atomic<std::uint64_t> applied_commits_{0};

@@ -126,7 +126,7 @@ void Dataspace::grow_seconds(Shard& shard) {
     while (n != nullptr) {
       Node* const old_next = n->next_second.load(std::memory_order_relaxed);
       auto& slot = grown->slots[second_slot(*grown, n->bucket->key,
-                                            n->rec.tuple[1].hash())];
+                                            n->tuple[1].hash())];
       Node* const head = slot.load(std::memory_order_relaxed);
       if (head != nullptr) head->prev_second = n;
       n->prev_second = nullptr;
@@ -139,16 +139,14 @@ void Dataspace::grow_seconds(Shard& shard) {
   epoch::retire(t, [](void* p) { delete static_cast<SecondTable*>(p); });
 }
 
-void Dataspace::link_record(Shard& shard, BucketNode& bucket, Record rec) {
-  Node* n = new Node{std::move(rec), &bucket};
-  if (n->rec.tuple.arity() >= 2) {
+void Dataspace::link_record(Shard& shard, BucketNode& bucket, Node* n) {
+  if (n->tuple.arity() >= 2) {
     SecondTable* t = shard.seconds.load(std::memory_order_relaxed);
     if (++shard.indexed > t->mask + 1) {
       grow_seconds(shard);
       t = shard.seconds.load(std::memory_order_relaxed);
     }
-    auto& slot =
-        t->slots[second_slot(*t, bucket.key, n->rec.tuple[1].hash())];
+    auto& slot = t->slots[second_slot(*t, bucket.key, n->tuple[1].hash())];
     Node* head = slot.load(std::memory_order_relaxed);
     n->next_second.store(head, std::memory_order_relaxed);
     if (head != nullptr) head->prev_second = n;
@@ -157,12 +155,10 @@ void Dataspace::link_record(Shard& shard, BucketNode& bucket, Record rec) {
   Node* head = bucket.head.load(std::memory_order_relaxed);
   n->next.store(head, std::memory_order_relaxed);
   if (head != nullptr) head->prev = n;
-  bucket.position.emplace(n->rec.id, n);
   bucket.head.store(n, std::memory_order_release);  // publish fully-formed
 }
 
-TupleId Dataspace::insert(Tuple t, ProcessId owner) {
-  const IndexKey key = IndexKey::of(t);
+TupleId Dataspace::insert(const IndexKey& key, Tuple&& t, ProcessId owner) {
   const std::size_t si = shard_of(key);
   Shard& shard = shards_[si];
   // Per-shard sequences interleaved by shard index stay globally unique.
@@ -171,41 +167,35 @@ TupleId Dataspace::insert(Tuple t, ProcessId owner) {
   shard.next_sequence.store(local + 1, std::memory_order_relaxed);
   const TupleId id(owner, local * shard_count_ + si);
 
-  link_record(shard, *ensure_bucket(shard, key), Record{id, std::move(t)});
+  BucketNode* bucket = ensure_bucket(shard, key);
+  link_record(shard, *bucket, new Node(id, std::move(t), bucket));
   Shard::bump(shard.live);
   Shard::bump(shard.asserts);
   return id;
 }
 
-bool Dataspace::erase(const IndexKey& key, TupleId id) {
-  Shard& shard = shards_[shard_of(key)];
-  BucketNode* bucket = find_bucket(shard, key);
-  if (bucket == nullptr) return false;
-  auto pit = bucket->position.find(id);
-  if (pit == bucket->position.end()) return false;
-  Node* n = pit->second;
-  bucket->position.erase(pit);
-
+void Dataspace::unlink_record(Shard& shard, Node* n) {
   // Unlink from both chains. The node's own forward links are left intact
   // so a reader standing on it can finish its walk; the node is retired,
   // not freed — a concurrent optimistic reader may still dereference it
   // until the grace period expires (caller holds an epoch::Guard, which
   // makes the grace argument sound — see epoch.hpp "Why writers pin too").
+  n->unlinked = true;
   Node* succ = n->next.load(std::memory_order_relaxed);
   if (succ != nullptr) succ->prev = n->prev;
   if (n->prev != nullptr) {
     n->prev->next.store(succ, std::memory_order_release);
   } else {
-    bucket->head.store(succ, std::memory_order_release);
+    n->bucket->head.store(succ, std::memory_order_release);
   }
-  if (n->rec.tuple.arity() >= 2) {
+  if (n->tuple.arity() >= 2) {
     Node* succ2 = n->next_second.load(std::memory_order_relaxed);
     if (succ2 != nullptr) succ2->prev_second = n->prev_second;
     if (n->prev_second != nullptr) {
       n->prev_second->next_second.store(succ2, std::memory_order_release);
     } else {
       SecondTable* t = shard.seconds.load(std::memory_order_relaxed);
-      t->slots[second_slot(*t, key, n->rec.tuple[1].hash())].store(
+      t->slots[second_slot(*t, n->bucket->key, n->tuple[1].hash())].store(
           succ2, std::memory_order_release);
     }
     --shard.indexed;
@@ -214,7 +204,33 @@ bool Dataspace::erase(const IndexKey& key, TupleId id) {
 
   Shard::drop(shard.live);
   Shard::bump(shard.retracts);
+}
+
+const IndexKey& Dataspace::key_of(const Record& rec) {
+  return static_cast<const Node&>(rec).bucket->key;
+}
+
+bool Dataspace::retract(const Record& rec) {
+  // A handle is a record some scan of this dataspace visited, i.e. the
+  // base of a live Node; the caller's exclusive lock makes it writable.
+  Node* n = const_cast<Node*>(static_cast<const Node*>(&rec));
+  if (n->unlinked) return false;
+  unlink_record(shards_[shard_of(n->bucket->key)], n);
   return true;
+}
+
+bool Dataspace::erase(const IndexKey& key, TupleId id) {
+  Shard& shard = shards_[shard_of(key)];
+  BucketNode* bucket = find_bucket(shard, key);
+  if (bucket == nullptr) return false;
+  for (Node* n = bucket->head.load(std::memory_order_relaxed); n != nullptr;
+       n = n->next.load(std::memory_order_relaxed)) {
+    if (n->id == id) {
+      unlink_record(shard, n);
+      return true;
+    }
+  }
+  return false;
 }
 
 void Dataspace::scan_key(const IndexKey& key, RecordFn fn) const {
@@ -226,7 +242,7 @@ void Dataspace::scan_key(const IndexKey& key, RecordFn fn) const {
   for (const Node* n = bucket->head.load(std::memory_order_acquire);
        n != nullptr; n = n->next.load(std::memory_order_acquire)) {
     ++seen;
-    if (!fn(n->rec)) break;
+    if (!fn(*n)) break;
   }
   if (seen != 0) Shard::bump(counters.scanned, seen);
 }
@@ -244,9 +260,9 @@ void Dataspace::scan_key_second(const IndexKey& key, const Value& second,
        n != nullptr; n = n->next_second.load(std::memory_order_acquire)) {
     // The slot is shared by every (bucket, field-1 hash) that maps to it:
     // check the owner and the actual field.
-    if (n->bucket != bucket || n->rec.tuple[1] != second) continue;
+    if (n->bucket != bucket || n->tuple[1] != second) continue;
     ++seen;
-    if (!fn(n->rec)) break;
+    if (!fn(*n)) break;
   }
   if (seen != 0) Shard::bump(const_cast<Shard&>(shard).scanned, seen);
 }
@@ -266,7 +282,7 @@ void Dataspace::scan_arity(std::uint32_t arity, RecordFn fn) const {
         for (const Node* n = b->head.load(std::memory_order_acquire);
              n != nullptr; n = n->next.load(std::memory_order_acquire)) {
           ++seen;
-          if (!fn(n->rec)) {
+          if (!fn(*n)) {
             stop = true;
             break;
           }
@@ -287,7 +303,7 @@ void Dataspace::scan_all(RecordFn fn) const {
            b != nullptr; b = b->chain.load(std::memory_order_acquire)) {
         for (const Node* n = b->head.load(std::memory_order_acquire);
              n != nullptr; n = n->next.load(std::memory_order_acquire)) {
-          if (!fn(n->rec)) return;
+          if (!fn(*n)) return;
         }
       }
     }
@@ -302,7 +318,7 @@ void Dataspace::for_each_instance(
   });
 }
 
-void Dataspace::restore(Tuple t, TupleId id) {
+const Record& Dataspace::restore(Tuple t, TupleId id) {
   const IndexKey key = IndexKey::of(t);
   Shard& shard = shards_[shard_of(key)];
   // Advance the sequence counter of the id's ORIGINATING shard past the
@@ -319,12 +335,10 @@ void Dataspace::restore(Tuple t, TupleId id) {
     origin.next_sequence.store(floor, std::memory_order_relaxed);
   }
   BucketNode* bucket = ensure_bucket(shard, key);
-  if (bucket->position.contains(id)) {
-    throw std::logic_error("Dataspace::restore: id already resident: " +
-                           id.to_string());
-  }
-  link_record(shard, *bucket, Record{id, std::move(t)});
+  Node* n = new Node(id, std::move(t), bucket);
+  link_record(shard, *bucket, n);
   Shard::bump(shard.live);
+  return *n;
 }
 
 std::size_t Dataspace::size() const {

@@ -30,9 +30,11 @@
 //     inside an epoch::Guard, sample shard_version() (reject odd = writer
 //     in progress), traverse via scan_key, scan_key_second or scan_arity,
 //     then re-validate the sampled versions — identical ⇒ the traversal
-//     observed a consistent snapshot; changed ⇒ discard and retry. Only
-//     the writer-side `position` map (erase, restore) is NOT optimistic-safe:
-//     it is a plain container read only under locks.
+//     observed a consistent snapshot; changed ⇒ discard and retry.
+// Each resident tuple is exactly one heap block, its record node: there is
+// no per-bucket id map. A writer removes a record through the handle a
+// scan gave it (retract), under the same exclusive lock the scan ran
+// under; erase(key, id) finds the handle by walking the bucket.
 // Whole-space operations (scan_arity, scan_all, snapshot) need every shard
 // held in the corresponding mode (or per-shard version validation).
 #pragma once
@@ -42,7 +44,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/function_ref.hpp"
@@ -165,13 +166,32 @@ class Dataspace {
   /// Caller must hold the lock for shard_of(IndexKey::of(t)) EXCLUSIVELY,
   /// inside a begin/end_shard_write bracket when optimistic readers may
   /// exist (i.e. under ShardedEngine).
-  TupleId insert(Tuple t, ProcessId owner);
+  TupleId insert(Tuple t, ProcessId owner) {
+    const IndexKey key = IndexKey::of(t);
+    return insert(key, std::move(t), owner);
+  }
+  /// Same, with the caller's IndexKey::of(t): `t` moves once, straight
+  /// into its record node (the node is the insert's one allocation when
+  /// its bucket exists).
+  TupleId insert(const IndexKey& key, Tuple&& t, ProcessId owner);
 
-  /// Removes the instance `id` from the bucket `key` (which the caller
-  /// derives from the matched tuple). Returns false if not present.
-  /// Caller must hold the lock for shard_of(key) EXCLUSIVELY (bracketed as
-  /// for insert) and an epoch::Guard: the record's node is retired through
-  /// EBR, not freed, because unlocked readers may still be traversing it.
+  /// Removes the resident record `rec` — a reference a scan of this
+  /// dataspace handed out (a record handle). Returns false if that record
+  /// was already removed. Caller must hold the lock for its shard
+  /// EXCLUSIVELY (bracketed as for insert) and an epoch::Guard: the node
+  /// is retired through EBR, not freed, because unlocked readers may
+  /// still be traversing it — so a handle stays safe to pass here, and to
+  /// read, while the Guard that covered its removal is held.
+  bool retract(const Record& rec);
+
+  /// The bucket a record handle lives in: IndexKey::of(rec.tuple),
+  /// without hashing the head field again.
+  [[nodiscard]] static const IndexKey& key_of(const Record& rec);
+
+  /// Removes the instance `id` from the bucket `key` by walking the
+  /// bucket for it: O(bucket size), for tests and benches that hold ids
+  /// rather than handles. Returns false if not present. Same contract as
+  /// retract.
   bool erase(const IndexKey& key, TupleId id);
 
   /// Scan visitor; return false to stop. A non-owning reference, so a
@@ -210,18 +230,20 @@ class Dataspace {
   void for_each_instance(const std::function<void(const Record&)>& fn) const;
 
   /// Re-inserts an instance under its ORIGINAL id — the recovery path.
+  /// Returns the new record's handle.
   /// The sequence counter of the id's originating shard (recovered from
   /// the id itself, NOT from the tuple's bucket — bucket placement hashes
   /// atom intern ids and is not stable across a process restart) is
   /// advanced past the id so instances asserted after recovery can never
   /// collide with restored ones; this guarantee requires the dataspace to
   /// have the same shard_count the id was created under (the durable
-  /// formats stamp it; recovery verifies). Throws if the id is already
-  /// resident. Recovery-only: the caller must be quiescent (it may touch
-  /// two shards — the bucket and the sequence originator). Bumps `live`
-  /// but not the assert counter: the instance was counted when first
-  /// asserted.
-  void restore(Tuple t, TupleId id);
+  /// formats stamp it; recovery verifies). The id must not be resident:
+  /// both callers (recovery's id-keyed live set, the follower's id index)
+  /// already guarantee it. Recovery-only: the caller must be quiescent or
+  /// hold every shard (it may touch two shards — the bucket and the
+  /// sequence originator). Bumps `live` but not the assert counter: the
+  /// instance was counted when first asserted.
+  const Record& restore(Tuple t, TupleId id);
 
   /// Number of resident tuple instances (approximate under concurrency:
   /// exact when the caller holds all shard locks).
@@ -250,32 +272,31 @@ class Dataspace {
   /// (`next`/`prev`) and, for arity >= 2, a field-1 index chain
   /// (`next_second`/`prev_second`). The `next*` links are the
   /// unlocked-traversal pointers (atomic, release-published); the `prev*`
-  /// links are writer-only (only ever touched under the shard's exclusive
-  /// lock) so they stay plain. Unlinked nodes keep their forward links
-  /// intact — a reader standing on a just-retracted node can still finish
-  /// its walk of either chain.
-  struct Node {
-    Record rec;
-    const BucketNode* bucket = nullptr;  // owner; outlives every Node
+  /// links and `unlinked` are writer-only (only ever touched under the
+  /// shard's exclusive lock) so they stay plain. Unlinked nodes keep their
+  /// forward links intact — a reader standing on a just-retracted node can
+  /// still finish its walk of either chain. The Record is the base, so a
+  /// record handle converts back to its node.
+  struct Node : Record {
+    Node(TupleId id, Tuple&& t, BucketNode* b)
+        : Record{id, std::move(t)}, bucket(b) {}
+    BucketNode* const bucket;  // owner; outlives every Node
     std::atomic<Node*> next{nullptr};
     std::atomic<Node*> next_second{nullptr};
     Node* prev = nullptr;
     Node* prev_second = nullptr;
+    bool unlinked = false;  // retracted; a second retract is a no-op
   };
 
   /// One bucket. Allocated on first insert of its key and never freed
   /// until the Dataspace dies (an emptied bucket is a tombstone that the
   /// next insert of the same key revives) — that is what lets readers
-  /// traverse the bucket chains without coordination. `position` is a
-  /// writer-side auxiliary: a plain container, mutated under the exclusive
-  /// lock, read only under (at least shared) locks.
+  /// traverse the bucket chains without coordination.
   struct BucketNode {
     explicit BucketNode(const IndexKey& k) : key(k) {}
     const IndexKey key;
     std::atomic<Node*> head{nullptr};
     std::atomic<BucketNode*> chain{nullptr};  // hash-slot chain link
-    /// TupleId -> node (writer-only; O(1) erase).
-    std::unordered_map<TupleId, Node*> position;
   };
 
   /// An open hash table of atomic chain heads, grown by doubling under the
@@ -365,7 +386,10 @@ class Dataspace {
   /// Writer-only: link a fresh node at the head of its bucket and (arity
   /// >= 2) of its field-1 chain, growing the field-1 table at load
   /// factor 1 first (release-publish).
-  void link_record(Shard& shard, BucketNode& bucket, Record rec);
+  void link_record(Shard& shard, BucketNode& bucket, Node* n);
+
+  /// Writer-only: unlink `n` from both chains and retire it.
+  void unlink_record(Shard& shard, Node* n);
 
   /// Writer-only: rebuild the field-1 table at double width.
   void grow_seconds(Shard& shard);

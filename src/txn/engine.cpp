@@ -4,7 +4,6 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
-#include <unordered_set>
 
 #include "core/epoch.hpp"
 #include "persist/persist.hpp"
@@ -63,10 +62,7 @@ void Engine::record_history(ProcessId owner, const Transaction& txn,
   std::vector<TupleId> retracts;
   for (const QueryMatch& m : outcome.matches) {
     reads.insert(reads.end(), m.reads.begin(), m.reads.end());
-    for (const auto& [key, id] : m.retract) {
-      (void)key;
-      retracts.push_back(id);
-    }
+    for (const Record* r : m.retract) retracts.push_back(r->id);
   }
   history_->record_commit(owner, /*consensus_fire=*/0, std::move(reads),
                           std::move(retracts), asserted, txn.to_string());
@@ -99,7 +95,7 @@ void Engine::maybe_snapshot_after_commit() {
 
 Engine::ReplApplyOutcome Engine::apply_replicated(
     const std::vector<persist::WalCommit>& batch,
-    std::unordered_map<TupleId, IndexKey>* id_index) {
+    IdIndex* id_index) {
   ReplApplyOutcome out;
   if (batch.empty()) return out;
   // Total exclusion, not per-commit 2PL: the leader's WAL order IS the
@@ -122,15 +118,15 @@ Engine::ReplApplyOutcome Engine::apply_replicated(
       try {
         for (const TupleId id : c.retracts) {
           const auto it = id_index->find(id);
-          if (it == id_index->end() || !space_.erase(it->second, id)) {
+          if (it == id_index->end()) {
             // The leader retracted an instance this follower never had (or
             // already dropped): stream divergence, surfaced as a counter —
             // the chaos sweep's checker turns any nonzero into a failure.
             ++out.missing_retracts;
-            if (it != id_index->end()) id_index->erase(it);
             continue;
           }
-          touched.push_back(it->second);
+          touched.push_back(Dataspace::key_of(*it->second));
+          space_.retract(*it->second);
           id_index->erase(it);
           ++out.applied_effects;
         }
@@ -142,10 +138,9 @@ Engine::ReplApplyOutcome Engine::apply_replicated(
             ++out.redundant_asserts;
             continue;
           }
-          const IndexKey key = IndexKey::of(tuple);
-          space_.restore(tuple, id);
-          id_index->emplace(id, key);
-          touched.push_back(key);
+          const Record& rec = space_.restore(tuple, id);
+          id_index->emplace(id, &rec);
+          touched.push_back(Dataspace::key_of(rec));
           ++out.applied_effects;
         }
         // Follower-side durability: re-log under the follower's OWN
@@ -187,6 +182,20 @@ Engine::ReplApplyOutcome Engine::apply_replicated(
   return out;
 }
 
+namespace {
+
+/// True when a match before `match` retracts `rec` too.
+bool retracted_earlier(const QueryOutcome& outcome, std::size_t match,
+                       const Record* rec) {
+  for (std::size_t mi = 0; mi < match; ++mi) {
+    const auto& r = outcome.matches[mi].retract;
+    if (std::find(r.begin(), r.end(), rec) != r.end()) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 void materialize_asserts(const Transaction& txn, const QueryOutcome& outcome,
                          const Env& env, const View* view,
                          const FunctionRegistry* fns,
@@ -226,20 +235,21 @@ std::vector<IndexKey> Engine::apply_effects(const Transaction& txn,
   std::vector<IndexKey> touched;
 
   // Retractions before additions (§2.2, and the consensus composite rule
-  // in §2.2's Consensus Transactions). Dedupe across ForAll matches: one
-  // instance may appear in several assignments but leaves D once.
-  std::unordered_set<TupleId> retracted;
-  for (const QueryMatch& m : outcome.matches) {
-    for (const auto& [key, id] : m.retract) {
-      if (!retracted.insert(id).second) continue;
-      if (!space_.erase(key, id)) {
-        if (tolerate_missing_retract) continue;  // split_2pl sabotage path
+  // in §2.2's Consensus Transactions), each through the record handle the
+  // match read under these same locks. A handle that is already gone was
+  // retracted by an earlier ForAll match of this commit (one instance may
+  // appear in several assignments but leaves D once) or, on the split_2pl
+  // sabotage path, by a writer that ran while the locks were dropped.
+  for (std::size_t mi = 0; mi < outcome.matches.size(); ++mi) {
+    for (const Record* r : outcome.matches[mi].retract) {
+      if (!space_.retract(*r)) {
+        if (tolerate_missing_retract || retracted_earlier(outcome, mi, r)) continue;
         // Evaluation and application happen under the same locks; a miss
         // here is an engine bug, not a data race.
         throw std::logic_error("sdl::Engine: retraction target vanished");
       }
-      touched.push_back(key);
-      if (durable != nullptr) durable->retracts.push_back(id);
+      touched.push_back(Dataspace::key_of(*r));
+      if (durable != nullptr) durable->retracts.push_back(r->id);
     }
   }
 
@@ -248,7 +258,7 @@ std::vector<IndexKey> Engine::apply_effects(const Transaction& txn,
     // The WAL needs the tuple after insert() consumes it — copy first.
     Tuple wal_copy;
     if (durable != nullptr) wal_copy = t;
-    const TupleId id = space_.insert(std::move(t), owner);
+    const TupleId id = space_.insert(key, std::move(t), owner);
     asserted.push_back(id);
     if (durable != nullptr) durable->asserts.emplace_back(id, std::move(wal_copy));
     touched.push_back(key);
@@ -329,6 +339,9 @@ TxnResult GlobalLockEngine::execute(const Transaction& txn, Env& env,
     if (inject_commit_fault(txn, outcome.success)) {
       result.injected_fault = true;  // effects withheld; retry is safe
     } else if (outcome.success) {
+      // Retracted nodes are EBR-retired; the pin keeps the match's record
+      // handles readable through record_history (epoch.hpp).
+      epoch::Guard eguard;
       DurableEffects& durable = durable_scratch();
       touched = apply_effects(txn, outcome, env, owner, view, result.asserted,
                               /*tolerate_missing_retract=*/false,
@@ -372,6 +385,7 @@ void GlobalLockEngine::exclusive(const std::function<std::vector<IndexKey>()>& f
   std::vector<IndexKey> touched;
   {
     std::scoped_lock lock(mutex_);
+    epoch::Guard eguard;  // fn's retracts retire nodes
     touched = fn();
   }
   if (!touched.empty()) waits_.publish_batch(std::move(touched));
@@ -605,11 +619,13 @@ TxnResult ShardedEngine::execute(const Transaction& txn, Env& env,
     // there is nothing to apply and nothing to publish — concurrent
     // readers of the same shard commit under shared locks without
     // bumping the commit version or waking anyone (E15).
+    // Pin for the mutation region and the history record after it:
+    // retract() retires nodes, a growing bucket table retires its
+    // predecessor, and record_history reads the retracted handles. The
+    // writer's pin is part of the EBR grace-period argument (epoch.hpp
+    // "Why writers pin too").
+    epoch::Guard eguard;
     if (!txn.is_read_only()) {
-      // Pin for the mutation region: erase() retires nodes and a growing
-      // bucket table retires its predecessor; the writer's pin is part of
-      // the EBR grace-period argument (epoch.hpp "Why writers pin too").
-      epoch::Guard eguard;
       const bool drop = sabotage_ != nullptr &&
                         sabotage_->drop_effects.load(std::memory_order_relaxed);
       const bool split = sabotage_ != nullptr &&
@@ -772,7 +788,7 @@ TxnResult ShardedEngine::execute_blind_assert(const Transaction& txn, Env& env,
       const IndexKey key = IndexKey::of(t);
       Tuple wal_copy;
       if (persist_ != nullptr) wal_copy = t;
-      const TupleId id = space_.insert(std::move(t), owner);
+      const TupleId id = space_.insert(key, std::move(t), owner);
       result.asserted.push_back(id);
       if (persist_ != nullptr) durable.asserts.emplace_back(id, std::move(wal_copy));
       touched.push_back(key);

@@ -231,9 +231,10 @@ class Engine {
   /// restart-stable TupleIds via Dataspace::restore — the same decode and
   /// id discipline recovery's replay() uses, so a promoted follower is
   /// byte-equivalent to a recovered leader. `id_index` is the follower's
-  /// id→bucket shadow map (WAL retracts carry only ids and the dataspace
-  /// keeps no global id index): seeded by snapshot restore, maintained
-  /// here across batches. Touched keys are published on release, so
+  /// id → record-handle map (WAL retracts carry only ids and the dataspace
+  /// keeps no id index): every resident record, seeded from the
+  /// follower's recovered dataspace and maintained here across batches,
+  /// so a retract is one lookup and one unlink. Touched keys are published on release, so
   /// parked local readers (the follower serves the optimistic read path)
   /// wake exactly as they would on a local commit. When the follower's
   /// own durability is armed, each commit is re-logged to its local WAL
@@ -258,9 +259,10 @@ class Engine {
     bool ok = true;                       // false: a commit threw mid-batch
     std::string error;                    // what() of the failing commit
   };
+  /// The follower's id -> record-handle index (see apply_replicated).
+  using IdIndex = std::unordered_map<TupleId, const Record*>;
   ReplApplyOutcome apply_replicated(
-      const std::vector<persist::WalCommit>& batch,
-      std::unordered_map<TupleId, IndexKey>* id_index);
+      const std::vector<persist::WalCommit>& batch, IdIndex* id_index);
 
  protected:
   /// Evaluates `txn`'s query against the dataspace, through `view`'s

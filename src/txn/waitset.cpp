@@ -100,21 +100,25 @@ void WaitSet::publish_batch(std::vector<IndexKey> touched) {
     }
   }
 
-  // Coalesce: a ForAll retracting N tuples from one bucket, or a composite
-  // consensus commit, repeats keys — dedupe before probing the maps so each
-  // unique key (and arity) costs one lookup instead of one per occurrence.
-  std::sort(touched.begin(), touched.end(),
-            [](const IndexKey& a, const IndexKey& b) {
-              return a.arity != b.arity ? a.arity < b.arity
-                                        : a.head_hash < b.head_hash;
-            });
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  // Wake-all reads no key; only the by-key branch coalesces. A ForAll
+  // retracting N tuples from one bucket, or a composite consensus commit,
+  // repeats keys — dedupe before probing the maps so each unique key (and
+  // arity) costs one lookup instead of one per occurrence.
+  const bool wake_all = wake_everyone || policy() == WakePolicy::WakeAll;
+  if (!wake_all) {
+    std::sort(touched.begin(), touched.end(),
+              [](const IndexKey& a, const IndexKey& b) {
+                return a.arity != b.arity ? a.arity < b.arity
+                                          : a.head_hash < b.head_hash;
+              });
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  }
 
   // Collect the wake callbacks under the lock, invoke them after (CP.22).
   std::vector<std::function<void()>> to_wake;
   {
     std::scoped_lock lock(mutex_);
-    if (wake_everyone || policy() == WakePolicy::WakeAll) {
+    if (wake_all) {
       to_wake.reserve(entries_.size());
       for (const auto& [ticket, entry] : entries_) to_wake.push_back(entry.wake);
     } else {

@@ -368,8 +368,7 @@ TEST_P(QueryAlgebraTest, ForAllMatchesEqualExistsDrain) {
     const QueryOutcome o = one.evaluate(src, env2, nullptr);
     if (!o.success) break;
     ASSERT_EQ(o.matches[0].retract.size(), 1u);
-    const auto& [key, id] = o.matches[0].retract[0];
-    ASSERT_TRUE(space.erase(key, id));
+    ASSERT_TRUE(space.retract(*o.matches[0].retract[0]));
     ++drained;
   }
   EXPECT_EQ(drained, tuples);

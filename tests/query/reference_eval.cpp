@@ -167,7 +167,7 @@ QueryMatch make_match(const Query& q, const std::vector<const Record*>& chosen,
     if (chosen[i] == nullptr) continue;
     m.reads.push_back(chosen[i]->id);
     if (patterns[i].retract_tagged()) {
-      m.retract.emplace_back(IndexKey::of(chosen[i]->tuple), chosen[i]->id);
+      m.retract.push_back(chosen[i]);
     }
   }
   return m;

@@ -93,8 +93,7 @@ struct DiffFixture {
       EXPECT_EQ(a.reads, b.reads) << "match " << m << " read set";
       ASSERT_EQ(a.retract.size(), b.retract.size()) << "match " << m;
       for (std::size_t r = 0; r < a.retract.size(); ++r) {
-        EXPECT_TRUE(a.retract[r].first == b.retract[r].first);
-        EXPECT_EQ(a.retract[r].second, b.retract[r].second);
+        EXPECT_EQ(a.retract[r], b.retract[r]) << "match " << m << " retract " << r;
       }
     }
     EXPECT_EQ(env_c, env_i) << "final environments diverged";
@@ -160,7 +159,7 @@ TEST(VmEquivTest, RetractTagsAndDistinctnessAgree) {
   });
   ASSERT_TRUE(out.success);
   EXPECT_EQ(out.matches[0].retract.size(), 2u);
-  EXPECT_NE(out.matches[0].retract[0].second, out.matches[0].retract[1].second)
+  EXPECT_NE(out.matches[0].retract[0]->id, out.matches[0].retract[1]->id)
       << "distinctness: the two patterns must bind two instances";
 }
 

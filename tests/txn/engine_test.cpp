@@ -301,7 +301,7 @@ TEST_P(EngineTest, ReplicatedApplyIsRedeliveryIdempotent) {
   c2.asserts = {{TupleId(1, 3), tup("done", 1)}};
   const std::vector<persist::WalCommit> batch = {c1, c2};
 
-  std::unordered_map<TupleId, IndexKey> ids;
+  Engine::IdIndex ids;
   Engine::ReplApplyOutcome first = engine->apply_replicated(batch, &ids);
   EXPECT_TRUE(first.ok);
   EXPECT_EQ(first.applied_commits, 2u);

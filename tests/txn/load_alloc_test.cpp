@@ -1,0 +1,97 @@
+// Heap-allocation budget of program load: parse, seed, and the warm
+// durable read-modify-write that pays for every insert and retract. Its
+// own executable: alloc_budget.hpp replaces the global operator new with
+// one that counts the calling thread's allocations.
+#include <algorithm>
+#include <sstream>
+#include <vector>
+
+#include "alloc_budget.hpp"
+
+namespace sdl {
+namespace {
+
+/// An init block of `n` value pairs and `n` probe triples (sdlbench's
+/// Sum1 shape: integer heads, and one atom head repeated n times).
+std::string init_source(int n) {
+  std::ostringstream src;
+  src << "init {\n";
+  for (int k = 1; k <= n; ++k) src << "  [" << k << ", " << k % 997 << "];\n";
+  for (int k = 0; k < n; ++k) src << "  [probe, " << k << ", " << 100 + k << "];\n";
+  src << "}\n";
+  return src.str();
+}
+
+std::uint64_t parse_allocs(const std::string& source) {
+  const std::uint64_t before = alloc_count::t_allocs;
+  const lang::Program program = lang::parse_program(source);
+  const std::uint64_t n = alloc_count::t_allocs - before;
+  EXPECT_FALSE(program.seeds.empty());
+  return n;
+}
+
+// The seeds vector is reserved once; every tuple, field and atom after
+// that is built in place, so 16x more tuples cost no more allocations.
+TEST(LoadAllocTest, ParsingInitTuplesAllocatesIndependentlyOfTheirCount) {
+  const std::string small = init_source(64);
+  const std::string large = init_source(1024);
+  (void)parse_allocs(small);  // first use of the atom: intern-table growth
+  EXPECT_EQ(parse_allocs(large), parse_allocs(small));
+}
+
+// A tuple inserted into a bucket that exists, with room on its shard's
+// field-1 table, is one block: its record node.
+TEST(LoadAllocTest, InsertIntoAnExistingBucketAllocatesOneNode) {
+  Dataspace space(1);
+  // 2,049 indexed records grow the field-1 table to 4,096 slots.
+  for (int i = 0; i < 2049; ++i) space.insert(tup("warm", i), 0);
+  space.insert(tup("probe", 0, 0), 0);
+  const IndexKey key = IndexKey::of_head(3, Value::atom("probe"));
+  std::vector<Tuple> batch;
+  for (int i = 1; i <= 1000; ++i) batch.push_back(tup("probe", i, i));
+  const std::uint64_t before = alloc_count::t_allocs;
+  for (Tuple& t : batch) space.insert(key, std::move(t), 0);
+  EXPECT_EQ(alloc_count::t_allocs - before, 1000u);
+}
+
+// Runtime::seed adds per-batch bookkeeping (the id list, the touched
+// keys, the exclusive section) but nothing more per tuple.
+TEST(LoadAllocTest, SeedingAnExistingBucketCostsOneBlockPerTuple) {
+  RuntimeOptions opts;
+  opts.scheduler.workers = 1;
+  Runtime rt(opts);
+  auto probes = [](int from, int count) {
+    std::vector<Tuple> batch;
+    for (int i = from; i < from + count; ++i) batch.push_back(tup("probe", i, i));
+    return batch;
+  };
+  // Create the bucket and grow its shard's field-1 table to 8,192 slots.
+  rt.seed(probes(0, 4097));
+  auto seed_allocs = [&](std::vector<Tuple> batch) {
+    const std::uint64_t before = alloc_count::t_allocs;
+    rt.seed(std::move(batch));
+    return alloc_count::t_allocs - before;
+  };
+  const std::uint64_t hundred = seed_allocs(probes(10000, 100));
+  const std::uint64_t thousand = seed_allocs(probes(20000, 1000));
+  EXPECT_EQ(thousand - hundred, 900u);
+}
+
+using DurableWriteAllocTest = DurableAccountsTest;
+
+// A warm read-modify-write on the durable leader costs what its commit
+// builds: the lock plan, the materialized assertion, the record node, the
+// asserted-id and touched-key lists, and the WAL append. The retract goes
+// through the match's record handle, so it allocates nothing.
+TEST_F(DurableWriteAllocTest, WarmReadModifyWriteIsPinned) {
+  for (std::int64_t k = 0; k < kAccounts; ++k) (void)write_allocs(k, 1);
+  std::vector<std::uint64_t> counts;
+  for (int i = 0; i < 400; ++i) {
+    counts.push_back(write_allocs((i * 37) % kAccounts, i % 2 == 0 ? -1 : 1));
+  }
+  std::sort(counts.begin(), counts.end());
+  EXPECT_EQ(counts[counts.size() / 2], 10u) << "median";
+}
+
+}  // namespace
+}  // namespace sdl

@@ -103,6 +103,34 @@ TEST(WaitSetTest, WakeAllPolicyWakesUnrelatedWaiters) {
   ws.unsubscribe(tb);
 }
 
+// Wake-all skips the key dedupe; each subscriber is still woken exactly
+// once per publish, however often the touched list repeats its key, and
+// whether the subscriber named that key, another key or an arity.
+TEST(WaitSetTest, WakeAllWithRepeatedKeysWakesEachSubscriberOnce) {
+  WaitSet ws(WaitSet::WakePolicy::WakeAll);
+  int woken_a = 0;
+  int woken_b = 0;
+  int woken_arity = 0;
+  WaitSet::Interest ia;
+  ia.keys = {key_of("a", 1), key_of("a", 2)};
+  WaitSet::Interest ib;
+  ib.keys = {key_of("b", 1)};
+  WaitSet::Interest iarity;
+  iarity.arities = {2};
+  const auto ta = ws.subscribe(ia, [&] { ++woken_a; });
+  const auto tb = ws.subscribe(ib, [&] { ++woken_b; });
+  const auto tc = ws.subscribe(iarity, [&] { ++woken_arity; });
+  ws.publish_batch({key_of("a", 1), key_of("a", 1), key_of("a", 2),
+                    key_of("a", 1), key_of("b", 1), key_of("b", 1)});
+  EXPECT_EQ(woken_a, 1);
+  EXPECT_EQ(woken_b, 1);
+  EXPECT_EQ(woken_arity, 1);
+  EXPECT_EQ(ws.wakes_delivered(), 3u);
+  ws.unsubscribe(ta);
+  ws.unsubscribe(tb);
+  ws.unsubscribe(tc);
+}
+
 TEST(WaitSetTest, BlockingWaiterWakesAcrossThreads) {
   WaitSet ws;
   BlockingWaiter waiter;
