@@ -2,8 +2,6 @@
 
 #include <unordered_map>
 
-#include "persist/persist.hpp"
-
 namespace sdl {
 namespace {
 
@@ -323,87 +321,45 @@ bool ConsensusManager::sweep_once() {
         }
 
         // ---- 6. Composite commit: materialize every member's assertions
-        //         against the common pre-state, then all retractions, then
-        //         all additions (§2.2's composite rule; materializing
-        //         first keeps a throwing field expression from leaving
-        //         partial effects). ----
+        //         against the common pre-state, then commit all members
+        //         as one (§2.2's composite rule: all retractions, then all
+        //         additions; materializing first keeps a throwing field
+        //         expression from leaving partial effects). The commit
+        //         logs ONE WAL frame under the fire ordinal, owned by the
+        //         environment, so recovery replays the composite
+        //         all-or-nothing; every member's history entry carries the
+        //         same ordinal, sequenced here under exclusive(), so the
+        //         checker replays them as one atomic composite. ----
         std::vector<std::vector<Tuple>> to_insert(plans.size());
+        std::vector<TxnResult> results(plans.size());
+        std::vector<Engine::CommitPart> parts(plans.size());
         for (std::size_t pi = 0; pi < plans.size(); ++pi) {
           // An Exists winner's binding is still in its member's env.
           const MemberPlan& plan = plans[pi];
           const Process* p = plan.node->p;
           materialize_asserts(*plan.txn, plan.outcome, p->env, p->view_ptr(),
                               fns, to_insert[pi]);
+          parts[pi] = {p->pid, plan.txn, &plan.outcome, &to_insert[pi],
+                       &results[pi].asserted};
         }
-        // WAL: a consensus fire is ONE atomic record — every member's
-        // retractions and assertions under the common fire ordinal, logged
-        // below while total exclusion is still held. Recovery replays the
-        // record atomically, preserving the composite's all-or-nothing
-        // semantics across a crash.
-        persist::PersistManager* wal = engine_.persist();
-        Engine::DurableEffects durable;
-        for (const MemberPlan& plan : plans) {
-          for (const QueryMatch& m : plan.outcome.matches) {
-            for (const Record* r : m.retract) {
-              // Already gone: an earlier member or match took it, and an
-              // instance leaves D once.
-              if (!space.retract(*r)) continue;
-              if (wal != nullptr) durable.retracts.push_back(r->id);
-              touched.push_back(Dataspace::key_of(*r));
-            }
-          }
-        }
-        // History: every member's entry carries the same nonzero fire
-        // ordinal, and all entries are sequenced here under exclusive() —
-        // the checker replays them as one atomic composite and verifies
-        // they stayed contiguous in the witness order. Per-member retract
-        // sets record the member's *intent*; the composite dedupe is the
-        // checker's to reapply.
-        HistoryRecorder* history = engine_.history();
-        if (history != nullptr && !history->enabled()) history = nullptr;
-        const std::uint64_t fire_id =
-            fires_.load(std::memory_order_relaxed) + 1;
-        for (std::size_t pi = 0; pi < plans.size(); ++pi) {
-          MemberPlan& plan = plans[pi];
-          Process* p = plan.node->p;
-          TxnResult result;
-          result.success = true;
-          for (Tuple& t : to_insert[pi]) {
-            const IndexKey key = IndexKey::of(t);
-            Tuple wal_copy;
-            if (wal != nullptr) wal_copy = t;
-            const TupleId id = space.insert(key, std::move(t), p->pid);
-            result.asserted.push_back(id);
-            if (wal != nullptr) durable.asserts.emplace_back(id, std::move(wal_copy));
-            touched.push_back(key);
-          }
-          if (history != nullptr) {
-            std::vector<TupleId> reads;
-            std::vector<TupleId> member_retracts;
-            for (const QueryMatch& m : plan.outcome.matches) {
-              reads.insert(reads.end(), m.reads.begin(), m.reads.end());
-              for (const Record* r : m.retract) member_retracts.push_back(r->id);
-            }
-            history->record_commit(p->pid, fire_id, std::move(reads),
-                                   std::move(member_retracts), result.asserted,
-                                   plan.txn->to_string());
-          }
-          result.matches = std::move(plan.outcome.matches);
+        engine_.commit(parts, kEnvironmentProcess,
+                       fires_.load(std::memory_order_relaxed) + 1, touched);
 
-          // ---- 7. Resume the member with its result. ----
+        // ---- 7. Resume every member with its result. ----
+        for (std::size_t pi = 0; pi < plans.size(); ++pi) {
+          Process* p = plans[pi].node->p;
+          TxnResult& result = results[pi];
+          result.success = true;
+          result.matches = std::move(plans[pi].outcome.matches);
           {
             std::scoped_lock state_lock(p->state_mutex);
-            p->consensus_result = ConsensusResult{plan.branch, std::move(result)};
+            p->consensus_result =
+                ConsensusResult{plans[pi].branch, std::move(result)};
             p->state = RunState::Ready;
             p->pending_wake = false;
             if (obs_m != nullptr) p->woke_at_ns = obs::now_ns();
           }
           scheduler_.enqueue_ready(p->pid);
-        }
-        if (wal != nullptr &&
-            (!durable.retracts.empty() || !durable.asserts.empty())) {
-          wal->log_commit(kEnvironmentProcess, fire_id, durable.retracts,
-                          durable.asserts);
         }
         fires_.fetch_add(1, std::memory_order_relaxed);
         if (obs_m != nullptr) {

@@ -70,8 +70,8 @@ void PersistManager::clean_directory() {
 }
 
 std::uint64_t PersistManager::log_commit(
-    ProcessId owner, std::uint64_t fire, const std::vector<TupleId>& retracts,
-    const std::vector<std::pair<TupleId, Tuple>>& asserts) {
+    ProcessId owner, std::uint64_t fire, std::span<const TupleId> retracts,
+    std::span<const Record* const> asserts) {
   const std::uint64_t seq = wal_->append(owner, fire, retracts, asserts);
   if (seq != 0 && opts_.snapshot_every > 0) {
     commits_since_snapshot_.fetch_add(1, std::memory_order_relaxed);

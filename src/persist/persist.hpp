@@ -10,9 +10,9 @@
 //             files are removed. The WAL reopens at last_seq + 1. The
 //             caller applies recovered() into its dataspace before
 //             starting any process.
-//   commit  — engines call log_commit while the commit's locks are held
-//             (wal.hpp explains why that ordering is the recovery
-//             correctness argument). Group commit batches fsyncs.
+//   commit  — Engine::commit calls log_commit while the commit's locks
+//             are held (wal.hpp explains why that ordering is the
+//             recovery correctness argument). Group commit batches fsyncs.
 //   snapshot— every `snapshot_every` logged commits (0 = never), the
 //             caller's next maybe_snapshot runs the barrier protocol:
 //             under total exclusion collect every instance and rotate the
@@ -86,8 +86,8 @@ class PersistManager {
   /// but the commit is not durable). `fire` groups a consensus composite
   /// into one atomic record (0 = independent commit).
   std::uint64_t log_commit(ProcessId owner, std::uint64_t fire,
-                           const std::vector<TupleId>& retracts,
-                           const std::vector<std::pair<TupleId, Tuple>>& asserts);
+                           std::span<const TupleId> retracts,
+                           std::span<const Record* const> asserts);
 
   /// Replication (follower side): appends a leader-seq watermark marker
   /// (WalCommit::repl_mark) covering everything re-logged so far. Does

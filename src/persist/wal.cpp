@@ -11,6 +11,7 @@
 #include <stdexcept>
 
 #include "core/codec.hpp"
+#include "space/dataspace.hpp"
 
 namespace sdl::persist {
 
@@ -399,9 +400,9 @@ bool WalWriter::write_at(int fd, const char* data, std::size_t size,
   return true;
 }
 
-std::uint64_t WalWriter::append(
-    ProcessId owner, std::uint64_t fire, const std::vector<TupleId>& retracts,
-    const std::vector<std::pair<TupleId, Tuple>>& asserts) {
+std::uint64_t WalWriter::append(ProcessId owner, std::uint64_t fire,
+                                std::span<const TupleId> retracts,
+                                std::span<const Record* const> asserts) {
   // Committer-side append latency: mutex wait + encode + write (and, for
   // fsync_every == 1, the inline durable sync). Recorded only for
   // acknowledged appends — the dead/killed paths are not the hot path.
@@ -452,9 +453,9 @@ std::uint64_t WalWriter::append(
     codec::put_varint(frame, retracts.size());
     for (const TupleId id : retracts) codec::put_u64(frame, id.bits());
     codec::put_varint(frame, asserts.size());
-    for (const auto& [id, tuple] : asserts) {
-      codec::put_u64(frame, id.bits());
-      codec::put_tuple(frame, tuple);
+    for (const Record* rec : asserts) {
+      codec::put_u64(frame, rec->id.bits());
+      codec::put_tuple(frame, rec->tuple);
     }
   }
   const std::size_t payload_len = frame.size() - 8;

@@ -3,8 +3,9 @@
 // Every effectful commit — engine transaction, environment seed, consensus
 // composite — appends ONE record while the commit's engine locks are still
 // held, carrying the commit's full effect set (retracted instance ids,
-// asserted instances with their tuples). The writer assigns the record's
-// sequence number under its own mutex inside that critical section, so:
+// asserted instances with their tuples, encoded from the records the
+// commit linked). The writer assigns the record's sequence number under
+// its own mutex inside that critical section, so:
 //   * conflicting commits hold a common shard lock across the append —
 //     their WAL order IS their serialization order (a valid witness, the
 //     same lock-held discipline src/check/history uses);
@@ -50,6 +51,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -59,6 +61,10 @@
 #include "core/tuple.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
+
+namespace sdl {
+struct Record;
+}
 
 namespace sdl::persist {
 
@@ -166,12 +172,14 @@ class WalWriter {
 
   /// Appends one commit record. MUST be called with the commit's engine
   /// locks held (see file comment — the sequence assigned here is the
-  /// recovery-order witness). Returns the assigned sequence, or 0 when
-  /// the append was NOT acknowledged (writer dead, or killed mid-write by
-  /// the WalAppend fault point — the record may be torn on disk).
+  /// recovery-order witness). Each assert is encoded straight from its
+  /// record handle (id and tuple), which the held locks keep resident.
+  /// Returns the assigned sequence, or 0 when the append was NOT
+  /// acknowledged (writer dead, or killed mid-write by the WalAppend
+  /// fault point — the record may be torn on disk).
   std::uint64_t append(ProcessId owner, std::uint64_t fire,
-                       const std::vector<TupleId>& retracts,
-                       const std::vector<std::pair<TupleId, Tuple>>& asserts);
+                       std::span<const TupleId> retracts,
+                       std::span<const Record* const> asserts);
 
   /// Appends a replication watermark record (WalCommit::repl_mark): the
   /// follower's durable "applied through leader seq `mark`" stamp. Same

@@ -262,33 +262,15 @@ std::vector<TupleId> Runtime::seed(std::vector<Tuple> tuples) {
   }
   std::vector<TupleId> ids;
   if (tuples.empty()) return ids;
-  ids.reserve(tuples.size());
+  // Seeds are commits too, owned by the environment: without their WAL
+  // frame a recovered run would silently lose its initial dataspace.
   engine_->exclusive([&]() -> std::vector<IndexKey> {
     std::vector<IndexKey> touched;
-    std::vector<std::pair<TupleId, Tuple>> wal_asserts;
-    if (persist_mgr_) wal_asserts.reserve(tuples.size());
-    for (Tuple& t : tuples) {
-      // An init block lists a relation's tuples together: dropping
-      // adjacent repeats keeps the key list short, and publish_batch
-      // dedupes whatever is left.
-      const IndexKey key = IndexKey::of(t);
-      if (touched.empty() || touched.back() != key) touched.push_back(key);
-      // Without a WAL `t` moves once, into its record node; with one the
-      // dataspace takes a copy and the WAL record keeps `t`.
-      ids.push_back(space_.insert(key, persist_mgr_ ? Tuple(t) : std::move(t),
-                                  kEnvironmentProcess));
-      if (persist_mgr_) wal_asserts.emplace_back(ids.back(), std::move(t));
-    }
-    // Seeds are commits too: without this record a recovered run would
-    // silently lose its initial dataspace.
-    if (persist_mgr_) {
-      persist_mgr_->log_commit(kEnvironmentProcess, /*fire=*/0, {}, wal_asserts);
-    }
+    Engine::CommitPart part{kEnvironmentProcess, nullptr, nullptr, &tuples,
+                            &ids};
+    engine_->commit({&part, 1}, kEnvironmentProcess, /*fire=*/0, touched);
     return touched;
   });
-  if (history_ && history_->enabled()) {
-    for (const TupleId id : ids) history_->record_seed(id);
-  }
   if (trace_.enabled()) {
     for (std::size_t i = 0; i < ids.size(); ++i) {
       trace_.record(TraceKind::SeedTuple, 0, "");
@@ -410,19 +392,7 @@ TxnResult Runtime::execute(const Transaction& txn, Env& env, ProcessId owner) {
   if (!result.success) return result;
   // Apply the local action list (lets, spawns) the way the scheduler does
   // for society processes — the dataspace effects already committed.
-  const bool exists = txn.query.quantifier == Quantifier::Exists;
-  for (const QueryMatch& m : result.matches) {
-    const Env& base = exists ? env : m.binding;
-    for (const LetAction& let : txn.lets) {
-      env[static_cast<std::size_t>(let.slot)] = let.value->eval(base, &functions_);
-    }
-    for (const SpawnAction& s : txn.spawns) {
-      std::vector<Value> args;
-      args.reserve(s.args.size());
-      for (const ExprPtr& a : s.args) args.push_back(a->eval(base, &functions_));
-      scheduler_->spawn(s.process_type, std::move(args));
-    }
-  }
+  scheduler_->apply_actions(env, txn, result);
   return result;
 }
 

@@ -1115,13 +1115,13 @@ void Scheduler::drop_subscription(Process& p) {
   p.park_saturated = false;
 }
 
-ControlAction Scheduler::apply_actions(Process& p, const Transaction& txn,
+ControlAction Scheduler::apply_actions(Env& env, const Transaction& txn,
                                        const TxnResult& result) {
   const bool exists = txn.query.quantifier == Quantifier::Exists;
   for (const QueryMatch& m : result.matches) {
-    const Env& base = exists ? p.env : m.binding;
+    const Env& base = exists ? env : m.binding;
     for (const LetAction& let : txn.lets) {
-      p.env[static_cast<std::size_t>(let.slot)] =
+      env[static_cast<std::size_t>(let.slot)] =
           let.value->eval(base, engine_.functions());
     }
     for (const SpawnAction& s : txn.spawns) {
@@ -1175,7 +1175,7 @@ Scheduler::StepOutcome Scheduler::do_transaction(Process& p,
       }
       p.frames.pop_back();
       if (r.success) {
-        const ControlAction c = apply_actions(p, txn, r);
+        const ControlAction c = apply_actions(p.env, txn, r);
         if (c == ControlAction::Exit) return handle_exit(p);
         if (c == ControlAction::Abort) return handle_abort(p);
       }
@@ -1212,7 +1212,7 @@ Scheduler::StepOutcome Scheduler::do_transaction(Process& p,
       }
       drop_subscription(p);
       p.frames.pop_back();
-      const ControlAction c = apply_actions(p, txn, r);
+      const ControlAction c = apply_actions(p.env, txn, r);
       if (c == ControlAction::Exit) return handle_exit(p);
       if (c == ControlAction::Abort) return handle_abort(p);
       return StepOutcome::Continue;
@@ -1223,7 +1223,7 @@ Scheduler::StepOutcome Scheduler::do_transaction(Process& p,
         p.consensus_result.reset();
         drop_subscription(p);
         p.frames.pop_back();
-        const ControlAction c = apply_actions(p, txn, res.result);
+        const ControlAction c = apply_actions(p.env, txn, res.result);
         if (c == ControlAction::Exit) return handle_exit(p);
         if (c == ControlAction::Abort) return handle_abort(p);
         return StepOutcome::Continue;
@@ -1248,7 +1248,7 @@ Scheduler::StepOutcome Scheduler::do_selection(Process& p, Frame& f) {
     drop_subscription(p);
     p.offers.clear();
     const Branch& br = branches[idx];
-    const ControlAction c = apply_actions(p, br.guard, r);
+    const ControlAction c = apply_actions(p.env, br.guard, r);
     if (c == ControlAction::Exit) return handle_exit(p);
     if (c == ControlAction::Abort) return handle_abort(p);
     if (is_repeat) {
@@ -1436,7 +1436,7 @@ Scheduler::StepOutcome Scheduler::do_sweep(Process& p, Frame& f) {
   const int idx = try_guards(p, branches, r, saw_injected);
   if (idx >= 0) {
     const Branch& br = branches[static_cast<std::size_t>(idx)];
-    const ControlAction c = apply_actions(p, br.guard, r);
+    const ControlAction c = apply_actions(p.env, br.guard, r);
     if (c == ControlAction::Exit) return handle_exit(p);
     if (c == ControlAction::Abort) return handle_abort(p);
     if (br.body) push_statement(p, br.body.get());

@@ -151,6 +151,14 @@ class Scheduler {
   /// Same, for a definition already looked up (one registered here).
   ProcessId spawn(const ProcessDef& def, std::vector<Value> args);
 
+  /// Applies a committed transaction's action list — lets into `env`,
+  /// spawns — once per match: an Exists match reads `env` (it keeps the
+  /// winning binding), a ForAll match its own binding. Returns the control
+  /// action. Society processes pass their env; Runtime::execute passes
+  /// the host's.
+  ControlAction apply_actions(Env& env, const Transaction& txn,
+                              const TxnResult& result);
+
   /// Runs until the society is quiescent: every process terminated or
   /// irrecoverably parked. Starts workers on entry, stops them on exit.
   RunReport run();
@@ -215,9 +223,6 @@ class Scheduler {
   StepOutcome do_selection(Process& p, Frame& f);
   StepOutcome do_replicate_parent(Process& p, Frame& f);
   StepOutcome do_sweep(Process& p, Frame& f);
-  /// Applies lets/spawns; returns the control action.
-  ControlAction apply_actions(Process& p, const Transaction& txn,
-                              const TxnResult& result);
   /// Unwinds frames for `exit`; returns Done if the stack emptied.
   StepOutcome handle_exit(Process& p);
   StepOutcome handle_abort(Process& p);

@@ -158,7 +158,8 @@ void Dataspace::link_record(Shard& shard, BucketNode& bucket, Node* n) {
   bucket.head.store(n, std::memory_order_release);  // publish fully-formed
 }
 
-TupleId Dataspace::insert(const IndexKey& key, Tuple&& t, ProcessId owner) {
+const Record& Dataspace::insert(const IndexKey& key, Tuple&& t,
+                                ProcessId owner) {
   const std::size_t si = shard_of(key);
   Shard& shard = shards_[si];
   // Per-shard sequences interleaved by shard index stay globally unique.
@@ -168,10 +169,11 @@ TupleId Dataspace::insert(const IndexKey& key, Tuple&& t, ProcessId owner) {
   const TupleId id(owner, local * shard_count_ + si);
 
   BucketNode* bucket = ensure_bucket(shard, key);
-  link_record(shard, *bucket, new Node(id, std::move(t), bucket));
+  Node* n = new Node(id, std::move(t), bucket);
+  link_record(shard, *bucket, n);
   Shard::bump(shard.live);
   Shard::bump(shard.asserts);
-  return id;
+  return *n;
 }
 
 void Dataspace::unlink_record(Shard& shard, Node* n) {

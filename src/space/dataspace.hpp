@@ -168,12 +168,12 @@ class Dataspace {
   /// exist (i.e. under ShardedEngine).
   TupleId insert(Tuple t, ProcessId owner) {
     const IndexKey key = IndexKey::of(t);
-    return insert(key, std::move(t), owner);
+    return insert(key, std::move(t), owner).id;
   }
   /// Same, with the caller's IndexKey::of(t): `t` moves once, straight
   /// into its record node (the node is the insert's one allocation when
-  /// its bucket exists).
-  TupleId insert(const IndexKey& key, Tuple&& t, ProcessId owner);
+  /// its bucket exists). Returns the new record's handle, as restore does.
+  const Record& insert(const IndexKey& key, Tuple&& t, ProcessId owner);
 
   /// Removes the resident record `rec` — a reference a scan of this
   /// dataspace handed out (a record handle). Returns false if that record

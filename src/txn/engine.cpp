@@ -54,9 +54,82 @@ WaitSet::Interest Engine::interest_of(const Transaction& txn, Env& env) const {
   return interest;
 }
 
-void Engine::record_history(ProcessId owner, const Transaction& txn,
+void Engine::commit(std::span<CommitPart> parts, ProcessId log_owner,
+                    std::uint64_t fire, std::vector<IndexKey>& touched,
+                    bool tolerate_missing_retract) {
+  // Adjacent repeats (a read-modify-write's key, an init block's
+  // relation) collapse here; publish_batch dedupes whatever is left.
+  auto touch = [&touched](const IndexKey& key) {
+    if (touched.empty() || touched.back() != key) touched.push_back(key);
+  };
+
+  // 1. Retractions before additions (§2.2, and the consensus composite
+  // rule in §2.2's Consensus Transactions), each through the record
+  // handle the match read under these same locks. A handle that is
+  // already gone was retracted earlier in this commit — one instance may
+  // appear in several ForAll assignments or composite members but leaves
+  // D once — or, on the split_2pl sabotage path, by a writer that ran
+  // while the locks were dropped.
+  SmallVector<TupleId, 4> retracted;
+  for (const CommitPart& part : parts) {
+    if (part.outcome == nullptr) continue;
+    for (const QueryMatch& m : part.outcome->matches) {
+      for (const Record* r : m.retract) {
+        if (space_.retract(*r)) {
+          retracted.push_back(r->id);
+          touch(Dataspace::key_of(*r));
+        } else if (!tolerate_missing_retract &&
+                   std::find(retracted.begin(), retracted.end(), r->id) ==
+                       retracted.end()) {
+          // Evaluation and application happen under the same locks; a
+          // miss here is an engine bug, not a data race.
+          throw std::logic_error("sdl::Engine: retraction target vanished");
+        }
+      }
+    }
+  }
+
+  // 2-3. Link each part's tuples — each moves once, into its record node
+  // — collecting the touched keys, the part's ids and the handles.
+  std::size_t linking = 0;
+  for (const CommitPart& part : parts) linking += part.tuples->size();
+  SmallVector<const Record*, 4> linked;
+  linked.reserve(linking);
+  for (CommitPart& part : parts) {
+    part.asserted->reserve(part.asserted->size() + part.tuples->size());
+    for (Tuple& t : *part.tuples) {
+      const IndexKey key = IndexKey::of(t);
+      const Record& rec = space_.insert(key, std::move(t), part.owner);
+      part.asserted->push_back(rec.id);
+      linked.push_back(&rec);
+      touch(key);
+    }
+  }
+
+  // 4. One WAL frame per commit, encoded from the records just linked,
+  // while the locks keep them resident: the WAL sequence assigned inside
+  // is the recovery-order witness (wal.hpp). A composite is one frame, so
+  // recovery replays it all-or-nothing.
+  if (persist_ != nullptr && (!retracted.empty() || !linked.empty())) {
+    persist_->log_commit(log_owner, fire, {retracted.data(), retracted.size()},
+                         {linked.data(), linked.size()});
+  }
+
+  if (history_ == nullptr || !history_->enabled()) return;
+  for (const CommitPart& part : parts) {
+    if (part.txn != nullptr) {
+      record_history(part.owner, fire, *part.outcome, *part.asserted,
+                     *part.txn);
+    } else {
+      for (const TupleId id : *part.asserted) history_->record_seed(id);
+    }
+  }
+}
+
+void Engine::record_history(ProcessId owner, std::uint64_t fire,
                             const QueryOutcome& outcome,
-                            const std::vector<TupleId>& asserted) {
+                            const std::vector<TupleId>& asserted,
+                            const Transaction& txn) {
   if (history_ == nullptr || !history_->enabled()) return;
   std::vector<TupleId> reads;
   std::vector<TupleId> retracts;
@@ -64,23 +137,8 @@ void Engine::record_history(ProcessId owner, const Transaction& txn,
     reads.insert(reads.end(), m.reads.begin(), m.reads.end());
     for (const Record* r : m.retract) retracts.push_back(r->id);
   }
-  history_->record_commit(owner, /*consensus_fire=*/0, std::move(reads),
-                          std::move(retracts), asserted, txn.to_string());
-}
-
-void Engine::record_wal(ProcessId owner, const DurableEffects& durable) {
-  if (persist_ == nullptr) return;
-  if (durable.retracts.empty() && durable.asserts.empty()) return;
-  persist_->log_commit(owner, /*fire=*/0, durable.retracts, durable.asserts);
-}
-
-Engine::DurableEffects& Engine::durable_scratch() {
-  // The WAL layer only reads the effect set, so each worker reuses one
-  // buffer — per-commit vector allocations are commit latency (E18).
-  static thread_local DurableEffects scratch;
-  scratch.retracts.clear();
-  scratch.asserts.clear();
-  return scratch;
+  history_->record_commit(owner, fire, std::move(reads), std::move(retracts),
+                          asserted, txn.to_string());
 }
 
 void Engine::maybe_snapshot_after_commit() {
@@ -130,16 +188,22 @@ Engine::ReplApplyOutcome Engine::apply_replicated(
           id_index->erase(it);
           ++out.applied_effects;
         }
+        SmallVector<const Record*, 4> logged;  // the WAL re-log's asserts
+        logged.reserve(c.asserts.size());
         for (const auto& [id, tuple] : c.asserts) {
-          if (id_index->count(id) != 0) {
+          const auto it = id_index->find(id);
+          if (it != id_index->end()) {
             // Redelivery after a follower restart: the instance is already
             // resident (same id ⇒ same tuple). Idempotent skip, counted
-            // apart from the divergence signal.
+            // apart from the divergence signal; the re-log encodes the
+            // resident record, so its bytes match a first delivery's.
             ++out.redundant_asserts;
+            logged.push_back(it->second);
             continue;
           }
           const Record& rec = space_.restore(tuple, id);
           id_index->emplace(id, &rec);
+          logged.push_back(&rec);
           touched.push_back(Dataspace::key_of(rec));
           ++out.applied_effects;
         }
@@ -147,9 +211,9 @@ Engine::ReplApplyOutcome Engine::apply_replicated(
         // sequence numbers while the exclusion is held (same lock-held
         // witness discipline as a local commit) — its private recovery
         // stream, independent of the leader seqs it acknowledges.
-        if (persist_ != nullptr &&
-            (!c.retracts.empty() || !c.asserts.empty())) {
-          persist_->log_commit(c.owner, c.fire, c.retracts, c.asserts);
+        if (persist_ != nullptr && (!c.retracts.empty() || !logged.empty())) {
+          persist_->log_commit(c.owner, c.fire, c.retracts,
+                               {logged.data(), logged.size()});
         }
       } catch (const std::exception& e) {
         out.ok = false;
@@ -182,20 +246,6 @@ Engine::ReplApplyOutcome Engine::apply_replicated(
   return out;
 }
 
-namespace {
-
-/// True when a match before `match` retracts `rec` too.
-bool retracted_earlier(const QueryOutcome& outcome, std::size_t match,
-                       const Record* rec) {
-  for (std::size_t mi = 0; mi < match; ++mi) {
-    const auto& r = outcome.matches[mi].retract;
-    if (std::find(r.begin(), r.end(), rec) != r.end()) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 void materialize_asserts(const Transaction& txn, const QueryOutcome& outcome,
                          const Env& env, const View* view,
                          const FunctionRegistry* fns,
@@ -216,54 +266,6 @@ void materialize_asserts(const Transaction& txn, const QueryOutcome& outcome,
       out.push_back(std::move(t));
     }
   }
-}
-
-std::vector<IndexKey> Engine::apply_effects(const Transaction& txn,
-                                            const QueryOutcome& outcome,
-                                            const Env& env, ProcessId owner,
-                                            const View* view,
-                                            std::vector<TupleId>& asserted,
-                                            bool tolerate_missing_retract,
-                                            DurableEffects* durable) {
-  // Atomicity: materialize every assertion FIRST. A throwing field
-  // expression (division by zero, a host function failing) must abort the
-  // transaction with the dataspace untouched — "transactions ... either
-  // succeed or have no effect on the dataspace" (§2.2).
-  std::vector<Tuple> to_insert;
-  materialize_asserts(txn, outcome, env, view, fns_, to_insert);
-
-  std::vector<IndexKey> touched;
-
-  // Retractions before additions (§2.2, and the consensus composite rule
-  // in §2.2's Consensus Transactions), each through the record handle the
-  // match read under these same locks. A handle that is already gone was
-  // retracted by an earlier ForAll match of this commit (one instance may
-  // appear in several assignments but leaves D once) or, on the split_2pl
-  // sabotage path, by a writer that ran while the locks were dropped.
-  for (std::size_t mi = 0; mi < outcome.matches.size(); ++mi) {
-    for (const Record* r : outcome.matches[mi].retract) {
-      if (!space_.retract(*r)) {
-        if (tolerate_missing_retract || retracted_earlier(outcome, mi, r)) continue;
-        // Evaluation and application happen under the same locks; a miss
-        // here is an engine bug, not a data race.
-        throw std::logic_error("sdl::Engine: retraction target vanished");
-      }
-      touched.push_back(Dataspace::key_of(*r));
-      if (durable != nullptr) durable->retracts.push_back(r->id);
-    }
-  }
-
-  for (Tuple& t : to_insert) {
-    const IndexKey key = IndexKey::of(t);
-    // The WAL needs the tuple after insert() consumes it — copy first.
-    Tuple wal_copy;
-    if (durable != nullptr) wal_copy = t;
-    const TupleId id = space_.insert(key, std::move(t), owner);
-    asserted.push_back(id);
-    if (durable != nullptr) durable->asserts.emplace_back(id, std::move(wal_copy));
-    touched.push_back(key);
-  }
-  return touched;
 }
 
 TxnResult execute_blocking(Engine& engine, const Transaction& txn, Env& env,
@@ -340,15 +342,17 @@ TxnResult GlobalLockEngine::execute(const Transaction& txn, Env& env,
       result.injected_fault = true;  // effects withheld; retry is safe
     } else if (outcome.success) {
       // Retracted nodes are EBR-retired; the pin keeps the match's record
-      // handles readable through record_history (epoch.hpp).
+      // handles readable through the history record (epoch.hpp).
       epoch::Guard eguard;
-      DurableEffects& durable = durable_scratch();
-      touched = apply_effects(txn, outcome, env, owner, view, result.asserted,
-                              /*tolerate_missing_retract=*/false,
-                              persist_ != nullptr ? &durable : nullptr);
+      // Atomicity: materialize every assertion FIRST. A throwing field
+      // expression (division by zero, a host function failing) must abort
+      // the transaction with the dataspace untouched — "transactions ...
+      // either succeed or have no effect on the dataspace" (§2.2).
+      std::vector<Tuple> to_insert;
+      materialize_asserts(txn, outcome, env, view, fns_, to_insert);
+      CommitPart part{owner, &txn, &outcome, &to_insert, &result.asserted};
+      commit({&part, 1}, owner, /*fire=*/0, touched);
       result.success = true;
-      record_history(owner, txn, outcome, result.asserted);
-      record_wal(owner, durable);
       result.matches = std::move(outcome.matches);
     }
     if (m != nullptr) {
@@ -615,46 +619,42 @@ TxnResult ShardedEngine::execute(const Transaction& txn, Env& env,
   if (inject_commit_fault(txn, outcome.success)) {
     result.injected_fault = true;  // effects withheld; retry is safe
   } else if (outcome.success) {
-    // Read-only fast path: the transaction has no effect templates, so
-    // there is nothing to apply and nothing to publish — concurrent
-    // readers of the same shard commit under shared locks without
-    // bumping the commit version or waking anyone (E15).
+    // A read-only transaction commits here too, for its history entry: it
+    // has no effect templates, so nothing is applied, logged or published
+    // and readers of one shard commit together under shared locks (E15).
     // Pin for the mutation region and the history record after it:
     // retract() retires nodes, a growing bucket table retires its
-    // predecessor, and record_history reads the retracted handles. The
-    // writer's pin is part of the EBR grace-period argument (epoch.hpp
+    // predecessor, and the history record reads the retracted handles.
+    // The writer's pin is part of the EBR grace-period argument (epoch.hpp
     // "Why writers pin too").
     epoch::Guard eguard;
-    if (!txn.is_read_only()) {
-      const bool drop = sabotage_ != nullptr &&
-                        sabotage_->drop_effects.load(std::memory_order_relaxed);
-      const bool split = sabotage_ != nullptr &&
-                         sabotage_->split_2pl.load(std::memory_order_relaxed);
-      DurableEffects& durable = durable_scratch();
-      auto* durable_out = persist_ != nullptr ? &durable : nullptr;
-      if (drop) {
-        // Torn commit: success is reported (and recorded below, with the
-        // intended retract set) but nothing reaches the dataspace — and
-        // nothing reaches the WAL, which logs only applied effects.
-      } else if (split) {
+    const bool drop = sabotage_ != nullptr &&
+                      sabotage_->drop_effects.load(std::memory_order_relaxed);
+    const bool split = sabotage_ != nullptr && !txn.is_read_only() &&
+                       sabotage_->split_2pl.load(std::memory_order_relaxed);
+    if (drop) {
+      // Torn commit: success is reported and recorded, with the intended
+      // retract set, but nothing reaches the dataspace or the WAL.
+      record_history(owner, /*fire=*/0, outcome, result.asserted, txn);
+    } else {
+      // Atomicity: materialize every assertion FIRST. A throwing field
+      // expression (division by zero, a host function failing) must abort
+      // the transaction with the dataspace untouched (§2.2).
+      std::vector<Tuple> to_insert;
+      materialize_asserts(txn, outcome, env, view, fns_, to_insert);
+      if (split) {
         // Break strict 2PL: drop every lock between evaluation and
         // application, widen the unprotected window, then re-lock and
         // apply whatever is still there.
         release(held);
         std::this_thread::sleep_for(std::chrono::microseconds(100));
         acquire(plan, held);
-        touched = apply_effects(txn, outcome, env, owner, view,
-                                result.asserted,
-                                /*tolerate_missing_retract=*/true, durable_out);
-      } else {
-        touched = apply_effects(txn, outcome, env, owner, view,
-                                result.asserted,
-                                /*tolerate_missing_retract=*/false, durable_out);
       }
-      record_wal(owner, durable);
+      CommitPart part{owner, &txn, &outcome, &to_insert, &result.asserted};
+      commit({&part, 1}, owner, /*fire=*/0, touched,
+             /*tolerate_missing_retract=*/split);
     }
     result.success = true;
-    record_history(owner, txn, outcome, result.asserted);
     result.matches = std::move(outcome.matches);
   }
   std::uint64_t t_released = 0;
@@ -756,9 +756,8 @@ TxnResult ShardedEngine::execute_blind_assert(const Transaction& txn, Env& env,
     if (m != nullptr) m->txn_total_ns->record(obs::now_ns() - t_start);
     return result;
   }
-  // Materialize (and export-filter) every assertion outside the locks —
-  // apply_effects' first half; the critical section below is just the
-  // links.
+  // Materialize (and export-filter) every assertion outside the locks;
+  // the critical section below is just the links.
   std::vector<Tuple> to_insert;
   materialize_asserts(txn, outcome, env, view, fns_, to_insert);
   // The materialized tuples resolve the target shards exactly — no
@@ -782,20 +781,9 @@ TxnResult ShardedEngine::execute_blind_assert(const Transaction& txn, Env& env,
     result.injected_fault = true;  // effects withheld; retry is safe
   } else {
     epoch::Guard eguard;  // bucket-table growth retires the old table
-    DurableEffects& durable = durable_scratch();
-    touched.reserve(to_insert.size());
-    for (Tuple& t : to_insert) {
-      const IndexKey key = IndexKey::of(t);
-      Tuple wal_copy;
-      if (persist_ != nullptr) wal_copy = t;
-      const TupleId id = space_.insert(key, std::move(t), owner);
-      result.asserted.push_back(id);
-      if (persist_ != nullptr) durable.asserts.emplace_back(id, std::move(wal_copy));
-      touched.push_back(key);
-    }
+    CommitPart part{owner, &txn, &outcome, &to_insert, &result.asserted};
+    commit({&part, 1}, owner, /*fire=*/0, touched);
     result.success = true;
-    record_history(owner, txn, outcome, result.asserted);
-    record_wal(owner, durable);
     result.matches = std::move(outcome.matches);
   }
   std::uint64_t t_released = 0;

@@ -11,6 +11,11 @@
 //
 // Engines apply a transaction's dataspace effects (retract, then assert,
 // §2.2) atomically and publish the touched index keys to the WaitSet.
+// Every mutation of the dataspace — an engine commit, a blind assert, a
+// consensus composite, a seed — goes through one routine, Engine::commit,
+// which also hands the commit to the WAL (encoded from the records it
+// just linked) and to the history checker. Only the follower's
+// apply_replicated, which restores by id, logs on its own.
 // Process-local actions (lets, spawns, control) are applied by the caller
 // (scheduler or host program) from the returned matches — they do not
 // touch the dataspace, so post-commit application preserves atomicity.
@@ -20,6 +25,7 @@
 #include <functional>
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <unordered_map>
 
 #include "check/history.hpp"
@@ -177,7 +183,6 @@ class Engine {
   /// Arms commit-history recording for the serializability checker (null
   /// disables). Call while no transactions are in flight.
   void set_history(HistoryRecorder* h) { history_ = h; }
-  [[nodiscard]] HistoryRecorder* history() const { return history_; }
 
   /// Arms the mutation self-test hooks (null disables). ShardedEngine
   /// only; the reference GlobalLockEngine stays unbroken by construction.
@@ -197,14 +202,37 @@ class Engine {
     return (metrics_ != nullptr && obs::enabled()) ? metrics_ : nullptr;
   }
 
-  /// The effect set apply_effects ACTUALLY applied, in WAL form — the
-  /// retracted instance ids and the asserted (id, tuple) pairs. Collected
-  /// only when durability is armed (the tuple copies are the cost). Public
-  /// because the consensus manager builds one for its composite record.
-  struct DurableEffects {
-    std::vector<TupleId> retracts;
-    std::vector<std::pair<TupleId, Tuple>> asserts;
+  /// One transaction's share of a commit (see commit()). A consensus
+  /// composite has one part per member; every other commit has one.
+  struct CommitPart {
+    ProcessId owner = 0;                    // owns the linked instances
+    const Transaction* txn = nullptr;       // history label; null: a seed
+    const QueryOutcome* outcome = nullptr;  // retract handles; null: none
+    std::vector<Tuple>* tuples = nullptr;   // materialized asserts, moved in
+    std::vector<TupleId>* asserted = nullptr;  // out: the ids it linked
   };
+
+  /// The one commit path: every mutation of the dataspace — an engine
+  /// commit, a blind assert, a consensus composite, a seed — goes through
+  /// here, with the commit's locks held and an epoch::Guard pinned. In
+  /// order, it
+  ///   1. retracts every part's match handles (an instance leaves D once,
+  ///      however many matches or members name it);
+  ///   2. links every part's materialized tuples, owned by the part;
+  ///   3. appends the touched keys to `touched` and the linked ids to each
+  ///      part's `asserted`;
+  ///   4. logs ONE WAL frame (owner `log_owner`, consensus ordinal `fire`)
+  ///      encoded from the records it just linked, when durability is armed
+  ///      and the commit changed D;
+  /// then records each part with the history checker when it is armed (a
+  /// part without a transaction records its ids as seeds).
+  /// `tolerate_missing_retract` is for the split_2pl sabotage path only:
+  /// with the 2PL window broken a retraction target may legitimately have
+  /// been consumed by a racing commit, and the point of the exercise is to
+  /// let the checker (not a throw) report the violation.
+  void commit(std::span<CommitPart> parts, ProcessId log_owner,
+              std::uint64_t fire, std::vector<IndexKey>& touched,
+              bool tolerate_missing_retract = false);
 
   /// Arms the overload-protection layer (null disables). The ShardedEngine
   /// consults it on the optimistic read path: a tripped circuit breaker
@@ -220,7 +248,6 @@ class Engine {
   /// locks are held, and a snapshot runs when one falls due. Call while
   /// no transactions are in flight.
   void set_persist(persist::PersistManager* p) { persist_ = p; }
-  [[nodiscard]] persist::PersistManager* persist() const { return persist_; }
 
   /// Builds the WaitSet interest for a transaction's read set (call with
   /// locals cleared — done internally).
@@ -271,32 +298,16 @@ class Engine {
   [[nodiscard]] QueryOutcome evaluate_query(const Transaction& txn, Env& env,
                                             const View* view) const;
 
-  /// Shared commit path: applies `outcome`'s retractions (deduped across
-  /// matches) then the assertion templates per match, export-filtered by
-  /// `view`. Templates read `env` (the evaluating env, which holds an
-  /// Exists winner's binding) or, for ForAll, each match's binding. Must
-  /// be called with sufficient locks held. Returns touched
-  /// keys; appends created ids to `asserted`; fills `durable` (when
-  /// non-null) with the applied effect set for the WAL.
-  /// `tolerate_missing_retract` is for the split_2pl sabotage path only:
-  /// with the 2PL window broken a retraction target may legitimately have
-  /// been consumed by a racing commit, and the point of the exercise is to
-  /// let the checker (not a throw) report the violation.
-  std::vector<IndexKey> apply_effects(const Transaction& txn,
-                                      const QueryOutcome& outcome,
-                                      const Env& env, ProcessId owner,
-                                      const View* view,
-                                      std::vector<TupleId>& asserted,
-                                      bool tolerate_missing_retract = false,
-                                      DurableEffects* durable = nullptr);
-
-  /// Records one commit with the history recorder, when armed. MUST be
-  /// called with the commit's locks still held (the sequence number is
-  /// the serialization witness). Records the *intended* retract set from
-  /// the matches — under sabotage that intent is exactly what convicts.
-  void record_history(ProcessId owner, const Transaction& txn,
+  /// Records one transaction's share of a commit with the history
+  /// checker, when armed. MUST be called with the commit's locks still held
+  /// (the sequence number is the serialization witness). Records the
+  /// *intended* retract set from the matches — under sabotage that intent
+  /// is exactly what convicts. `fire` is the consensus ordinal (0: an
+  /// independent commit); the label is `txn` rendered, only when armed.
+  void record_history(ProcessId owner, std::uint64_t fire,
                       const QueryOutcome& outcome,
-                      const std::vector<TupleId>& asserted);
+                      const std::vector<TupleId>& asserted,
+                      const Transaction& txn);
 
   /// FaultInjector decision at the commit point, called with the engine's
   /// locks held and the query outcome known. Returns true when the commit
@@ -304,14 +315,6 @@ class Engine {
   /// delay to widen the evaluate→apply race window.
   [[nodiscard]] bool inject_commit_fault(const Transaction& txn,
                                          bool query_succeeded);
-
-  /// Logs one commit's applied effect set to the WAL, when durability is
-  /// armed. MUST be called with the commit's locks still held — the WAL
-  /// sequence assigned inside is the recovery-order witness (wal.hpp).
-  void record_wal(ProcessId owner, const DurableEffects& durable);
-  /// Cleared per-worker reusable effect-set buffer (the WAL layer only
-  /// reads it, so per-commit allocations would be pure waste).
-  static DurableEffects& durable_scratch();
 
   /// Post-publish hook (no locks held): runs the snapshot barrier
   /// protocol when the configured snapshot interval has elapsed.

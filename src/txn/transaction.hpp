@@ -72,7 +72,8 @@ class Transaction {
   /// Process-local actions (lets, spawns, control) do not count — they are
   /// applied by the caller and never touch D. Engines route read-only
   /// transactions through the shared-lock fast path: no exclusive locks,
-  /// no apply_effects, no WaitSet publication, no commit-version bump.
+  /// nothing applied or logged, no WaitSet publication, no commit-version
+  /// bump.
   /// Cached by resolve(); false (conservative) before resolution.
   [[nodiscard]] bool is_read_only() const { return read_only_; }
 

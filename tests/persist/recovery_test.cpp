@@ -17,6 +17,7 @@
 
 #include "persist/persist.hpp"
 #include "process/runtime.hpp"
+#include "wal_records.hpp"
 
 namespace sdl {
 namespace {
@@ -284,7 +285,7 @@ TEST_F(RecoveryTest, SnapshotAbortsWhenCommitterKillsWalBeforeBarrier) {
   persist::PersistManager pm(po, /*shard_count=*/16);
   Dataspace space(16);
   const TupleId acked = space.insert(tup("job", 1), 1);
-  ASSERT_NE(pm.log_commit(1, 0, {}, {{acked, tup("job", 1)}}), 0u);
+  ASSERT_NE(pm.log_commit(1, 0, {}, persist::Asserts{{acked, tup("job", 1)}}), 0u);
 
   FaultInjector faults(99);
   pm.set_fault_injector(&faults);
@@ -292,7 +293,7 @@ TEST_F(RecoveryTest, SnapshotAbortsWhenCommitterKillsWalBeforeBarrier) {
     // The racing committer lands just before exclusion takes effect.
     faults.arm(FaultPoint::WalAppend, FaultAction::Kill, 1000, 1);
     const TupleId torn = space.insert(tup("torn", 2), 1);
-    EXPECT_EQ(pm.log_commit(1, 0, {}, {{torn, tup("torn", 2)}}), 0u);
+    EXPECT_EQ(pm.log_commit(1, 0, {}, persist::Asserts{{torn, tup("torn", 2)}}), 0u);
     EXPECT_FALSE(pm.wal_alive());
     fn();
   };

@@ -11,6 +11,7 @@
 
 #include "control/overload.hpp"
 #include "persist/wal.hpp"
+#include "wal_records.hpp"
 
 namespace sdl::persist {
 namespace {
@@ -53,7 +54,7 @@ TEST_F(WalBackpressureTest, CapBlocksCommittersAndLosesNothing) {
           for (int i = 0; i < kPerThread; ++i) {
             const auto seq = w.append(
                 static_cast<ProcessId>(t + 1), 0, {},
-                {{TupleId(static_cast<std::uint32_t>(t + 1),
+                Asserts{{TupleId(static_cast<std::uint32_t>(t + 1),
                           static_cast<std::uint64_t>(i)),
                   tup("payload", t, i, std::string(64, 'x'))}});
             if (seq != 0) acked.fetch_add(1);
@@ -92,7 +93,7 @@ TEST_F(WalBackpressureTest, CapIgnoredInSynchronousMode) {
   w.set_overload(&ctl);
   for (int i = 0; i < 16; ++i) {
     EXPECT_NE(w.append(1, 0, {},
-                       {{TupleId(1, static_cast<std::uint64_t>(i)),
+                       Asserts{{TupleId(1, static_cast<std::uint64_t>(i)),
                          tup("t", i)}}),
               0u);
   }
@@ -112,7 +113,7 @@ TEST_F(WalBackpressureTest, DeadWalReleasesBlockedCommitters) {
   // Fill past the cap once so the batch is non-trivial.
   for (int i = 0; i < 4; ++i) {
     w.append(1, 0, {},
-             {{TupleId(1, static_cast<std::uint64_t>(i)),
+             Asserts{{TupleId(1, static_cast<std::uint64_t>(i)),
                tup("fill", i, std::string(64, 'y'))}});
   }
   // Kill the WAL: the next sync/flush dies, and appends — blocked or new —
@@ -122,7 +123,7 @@ TEST_F(WalBackpressureTest, DeadWalReleasesBlockedCommitters) {
   std::thread t([&] {
     for (int i = 0; i < 64 && w.alive(); ++i) {
       w.append(2, 0, {},
-               {{TupleId(2, static_cast<std::uint64_t>(i)),
+               Asserts{{TupleId(2, static_cast<std::uint64_t>(i)),
                  tup("after", i, std::string(64, 'z'))}});
     }
     done.store(true);
@@ -130,7 +131,7 @@ TEST_F(WalBackpressureTest, DeadWalReleasesBlockedCommitters) {
   t.join();
   EXPECT_TRUE(done.load());
   EXPECT_FALSE(w.alive());
-  EXPECT_EQ(w.append(3, 0, {}, {{TupleId(3, 1), tup("dead")}}), 0u);
+  EXPECT_EQ(w.append(3, 0, {}, Asserts{{TupleId(3, 1), tup("dead")}}), 0u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <fstream>
 
 #include "core/codec.hpp"
+#include "wal_records.hpp"
 
 namespace sdl::persist {
 namespace {
@@ -40,12 +41,12 @@ TEST_F(WalTest, AppendReadRoundtrip) {
   {
     WalWriter w(dir, /*shard_count=*/16, /*next_seq=*/1, /*fsync_every=*/1);
     seg = w.segment_path();
-    EXPECT_EQ(w.append(3, 0, {}, {{TupleId(3, 7), tup("job", 1)}}), 1u);
-    EXPECT_EQ(w.append(4, 0, {TupleId(3, 7)},
-                       {{TupleId(4, 8), tup("done", 1)},
+    EXPECT_EQ(w.append(3, 0, {}, Asserts{{TupleId(3, 7), tup("job", 1)}}), 1u);
+    EXPECT_EQ(w.append(4, 0, Retracts{TupleId(3, 7)},
+                       Asserts{{TupleId(4, 8), tup("done", 1)},
                         {TupleId(4, 9), tup("log", std::string("x"), 2.5)}}),
               2u);
-    EXPECT_EQ(w.append(5, 11, {TupleId(4, 8)}, {}), 3u);  // consensus record
+    EXPECT_EQ(w.append(5, 11, Retracts{TupleId(4, 8)}, {}), 3u);  // consensus record
     EXPECT_EQ(w.last_appended(), 3u);
     EXPECT_EQ(w.last_synced(), 3u);  // fsync_every=1: every append synced
   }
@@ -69,7 +70,7 @@ TEST_F(WalTest, AppendReadRoundtrip) {
 TEST_F(WalTest, GroupCommitBatchesFsyncs) {
   WalWriter w(dir, 16, 1, /*fsync_every=*/8);
   for (int i = 0; i < 20; ++i) {
-    w.append(1, 0, {}, {{TupleId(1, static_cast<std::uint64_t>(i)), tup("t", i)}});
+    w.append(1, 0, {}, Asserts{{TupleId(1, static_cast<std::uint64_t>(i)), tup("t", i)}});
   }
   EXPECT_EQ(w.last_appended(), 20u);
   // Batches completed at 8 and 16 and were handed to the background
@@ -87,7 +88,7 @@ TEST_F(WalTest, FsyncNeverStillAppendsEverything) {
   {
     WalWriter w(dir, 16, 1, /*fsync_every=*/0);
     seg = w.segment_path();
-    for (int i = 0; i < 5; ++i) w.append(1, 0, {}, {{TupleId(1, 100u + i), tup("t", i)}});
+    for (int i = 0; i < 5; ++i) w.append(1, 0, {}, Asserts{{TupleId(1, 100u + i), tup("t", i)}});
     EXPECT_EQ(w.syncs(), 0u);
   }
   EXPECT_EQ(read_wal_segment(seg).commits.size(), 5u);
@@ -96,12 +97,12 @@ TEST_F(WalTest, FsyncNeverStillAppendsEverything) {
 TEST_F(WalTest, RotateStartsFreshSegmentAtBarrierPlusOne) {
   WalWriter w(dir, 16, 1, 1);
   const std::string first = w.segment_path();
-  w.append(1, 0, {}, {{TupleId(1, 1), tup("a")}});
-  w.append(1, 0, {}, {{TupleId(1, 2), tup("b")}});
+  w.append(1, 0, {}, Asserts{{TupleId(1, 1), tup("a")}});
+  w.append(1, 0, {}, Asserts{{TupleId(1, 2), tup("b")}});
   const std::uint64_t barrier = w.rotate();
   EXPECT_EQ(barrier, 2u);
   EXPECT_NE(w.segment_path(), first);
-  w.append(1, 0, {}, {{TupleId(1, 3), tup("c")}});
+  w.append(1, 0, {}, Asserts{{TupleId(1, 3), tup("c")}});
 
   const WalReadResult old_seg = read_wal_segment(first);
   EXPECT_EQ(old_seg.commits.size(), 2u);
@@ -116,13 +117,13 @@ TEST_F(WalTest, WalAppendKillTearsRecordAndDeadensWriter) {
   FaultInjector faults(1234);
   WalWriter w(dir, 16, 1, 1);
   w.set_fault_injector(&faults);
-  EXPECT_EQ(w.append(1, 0, {}, {{TupleId(1, 1), tup("kept")}}), 1u);
+  EXPECT_EQ(w.append(1, 0, {}, Asserts{{TupleId(1, 1), tup("kept")}}), 1u);
 
   faults.arm(FaultPoint::WalAppend, FaultAction::Kill, 1000, 1);
-  EXPECT_EQ(w.append(1, 0, {}, {{TupleId(1, 2), tup("torn")}}), 0u)
+  EXPECT_EQ(w.append(1, 0, {}, Asserts{{TupleId(1, 2), tup("torn")}}), 0u)
       << "killed append must not be acknowledged";
   EXPECT_FALSE(w.alive());
-  EXPECT_EQ(w.append(1, 0, {}, {{TupleId(1, 3), tup("after")}}), 0u)
+  EXPECT_EQ(w.append(1, 0, {}, Asserts{{TupleId(1, 3), tup("after")}}), 0u)
       << "a dead writer stays dead";
 
   const WalReadResult r = read_wal_segment(w.segment_path());
@@ -149,7 +150,7 @@ TEST_F(WalTest, DetectsBitrotInsideRecord) {
   {
     WalWriter w(dir, 16, 1, 1);
     seg = w.segment_path();
-    for (int i = 0; i < 4; ++i) w.append(1, 0, {}, {{TupleId(1, 10u + i), tup("r", i)}});
+    for (int i = 0; i < 4; ++i) w.append(1, 0, {}, Asserts{{TupleId(1, 10u + i), tup("r", i)}});
   }
   std::string data = slurp(seg);
   data[data.size() - 3] ^= 0x40;  // flip one bit inside the last record
@@ -169,7 +170,7 @@ TEST_F(WalTest, ShortZeroTailIsCleanPaddingNotCorruption) {
   {
     WalWriter w(dir, 16, 1, 1);
     seg = w.segment_path();
-    for (int i = 0; i < 3; ++i) w.append(1, 0, {}, {{TupleId(1, 60u + i), tup("p", i)}});
+    for (int i = 0; i < 3; ++i) w.append(1, 0, {}, Asserts{{TupleId(1, 60u + i), tup("p", i)}});
   }
   const std::string whole = slurp(seg);
   const std::string padded = dir + "/padded.bin";
@@ -224,7 +225,7 @@ TEST_F(WalTest, RejectsNewerFormatVersionAsMismatch) {
   {
     WalWriter w(dir, 16, 1, 1);
     seg = w.segment_path();
-    w.append(1, 0, {}, {{TupleId(1, 1), tup("x")}});
+    w.append(1, 0, {}, Asserts{{TupleId(1, 1), tup("x")}});
   }
   std::string data = slurp(seg);
   std::string payload;
@@ -250,7 +251,7 @@ TEST_F(WalTest, HeaderStampsOriginNode) {
   {
     WalWriter w(dir, 16, 1, 1, /*origin_node=*/7);
     seg = w.segment_path();
-    w.append(1, 0, {}, {{TupleId(1, 1), tup("x")}});
+    w.append(1, 0, {}, Asserts{{TupleId(1, 1), tup("x")}});
   }
   const WalReadResult r = read_wal_segment(seg);
   ASSERT_TRUE(r.header_ok);
@@ -276,13 +277,13 @@ TEST_F(WalTest, TruncationAtEveryByteOffsetYieldsCleanPrefix) {
         for (int k = 0; k < 8; ++k) {
           block.emplace_back(TupleId(0, 100u + k), tup("seed", k));
         }
-        w.append(0, 0, {}, block);
+        w.append(0, 0, {}, Asserts(block));
         continue;
       }
       w.append(static_cast<ProcessId>(i + 1), i % 2 == 0 ? 0u : 5u,
                i > 0 ? std::vector<TupleId>{TupleId(i, 40u + i)}
                      : std::vector<TupleId>{},
-               {{TupleId(i + 1, 41u + i), tup("payload", i, std::string("s"))}});
+               Asserts{{TupleId(i + 1, 41u + i), tup("payload", i, std::string("s"))}});
     }
   }
   const std::string whole = slurp(seg);

@@ -312,6 +312,51 @@ TEST_F(ReplRuntimeTest, ReconnectResumesFromWatermark) {
   EXPECT_EQ(follower.repl_follower()->stats().reconnects, 1u);
 }
 
+// ReplOptions::max_lag_bytes, the leader's backpressure: while a live
+// session's unacked bytes exceed the cap, writes are shed (RetryAfter, one
+// poll interval) and reads still commit; once the follower drains, writes
+// commit again. The cap sits below the in-flight window, so the tailer
+// ships past it instead of stalling first.
+TEST_F(ReplRuntimeTest, LagCapShedsWritesUntilTheFollowerDrains) {
+  RuntimeOptions lo = leader_opts();
+  lo.repl.max_lag_bytes = 1024;
+  ASSERT_LT(lo.repl.max_lag_bytes, lo.repl.max_inflight_bytes);
+  Runtime leader(lo);
+  // A backlog past the cap, logged before any follower exists: one frame.
+  std::vector<Tuple> backlog;
+  for (int i = 0; i < 200; ++i) backlog.push_back(tup("job", i));
+  leader.seed(std::move(backlog));
+  ASSERT_TRUE(leader.execute(consume_job(), env).success) << "no session, no lag";
+
+  // The follower attaches late and holds each batch it receives unapplied,
+  // and so unacked, until the hold is released.
+  Runtime follower(follower_opts());
+  FaultInjector& hold = follower.enable_faults(/*seed=*/1);
+  hold.arm(FaultPoint::ReplApply, FaultAction::FailCommit, 1000);
+  connect(leader, follower);
+  ASSERT_TRUE(wait_until([&] {
+    return leader.repl_leader()->stats().lag_bytes > lo.repl.max_lag_bytes;
+  }));
+
+  const TxnResult shed = leader.execute(consume_job(), env);
+  EXPECT_FALSE(shed.success);
+  EXPECT_TRUE(shed.shed);
+  EXPECT_EQ(shed.retry_after_us, lo.repl.poll_interval_ms * 1000);
+  EXPECT_TRUE(leader.execute(read_any_job(), env).success)
+      << "reads are never shed";
+  EXPECT_GT(leader.repl_leader()->stats().backpressure_hits, 0u);
+
+  hold.disarm(FaultPoint::ReplApply);
+  ASSERT_TRUE(wait_until([&] {
+    return converged(leader, follower) &&
+           leader.repl_leader()->stats().lag_bytes <= lo.repl.max_lag_bytes;
+  }));
+  EXPECT_TRUE(leader.execute(consume_job(), env).success);
+  ASSERT_TRUE(wait_until([&] { return converged(leader, follower); }));
+  expect_same_state(leader, follower);
+  EXPECT_EQ(follower.repl_follower()->stats().missing_retracts, 0u);
+}
+
 // A WAL frame larger than the streamer's read window (sized from the
 // frames it expects) must still ship, as a batch of one, instead of
 // parsing as a torn tail forever.

@@ -62,7 +62,12 @@ constexpr std::int64_t kAccounts = 256;
 class DurableAccountsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "sdl_alloc_budget";
+    // One directory per test: ctest runs the tests of test_read_alloc
+    // and test_load_alloc that share this fixture concurrently.
+    const ::testing::TestInfo* test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = ::testing::TempDir() + "sdl_alloc_budget_" +
+           test->test_suite_name() + "_" + test->name();
     std::filesystem::remove_all(dir_);
     std::ostringstream src;
     src << "init {\n";
