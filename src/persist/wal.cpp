@@ -290,8 +290,11 @@ void WalWriter::flusher_main() {
     cv_.wait(lock, [&] { return stop_ || flush_requested_; });
     if (flush_requested_ && fd_ >= 0 && !dead_ && !batch_.empty()) {
       flush_requested_ = false;
-      std::string pending = std::move(batch_);
-      batch_.clear();
+      // Swap, not move: committers park the next batch in the buffer the
+      // previous flush wrote out, so once both buffers have grown a batch
+      // costs the commit path no allocation.
+      std::string& pending = flush_buffer_;
+      pending.swap(batch_);
       const std::uint64_t target = last_appended_;
       // Claim the batch's file range under the mutex (writes stay in
       // sequence order), then pwrite+fdatasync on a dup so rotate()/
@@ -314,6 +317,7 @@ void WalWriter::flusher_main() {
       }
       if (ok && obs_m != nullptr) obs_m->wal_flush_ns->record_since(t_flush0);
       if (dupfd >= 0) ::close(dupfd);
+      pending.clear();
       lock.lock();
       flush_inflight_ = false;
       if (!ok) dead_ = true;

@@ -277,6 +277,7 @@ class WalWriter {
   std::uint64_t appended_ = 0;
   std::uint64_t unsynced_ = 0;  // appends since the last flush handoff
   std::string batch_;  // group-commit frames parked until the next flush
+  std::string flush_buffer_;  // the batch the flusher is writing (its own)
   std::string frame_scratch_;  // reused per-append encode buffer
   std::uint64_t syncs_ = 0;
   std::function<void(std::uint64_t)> durable_listener_;  // repl wakeup
