@@ -35,7 +35,7 @@ struct Node {
 
 /// Per-member evaluation result during a fire attempt.
 struct MemberPlan {
-  Node* node = nullptr;
+  Process* p = nullptr;
   bool ok = false;
   const Transaction* txn = nullptr;
   int branch = -1;
@@ -197,58 +197,24 @@ bool ConsensusManager::sweep_once() {
         }
         if (!all_ready) continue;
 
-        // Claim-to-fire span: from the first member claim to the last
+        // Fire span: from finding the component fireable to the last
         // member resumed + the composite WAL record logged. Recorded only
-        // for components that actually fire (reverts and injected aborts
-        // are not fires).
+        // for components that actually fire (failed evaluations and
+        // injected aborts are not fires).
         obs::RuntimeMetrics* const obs_m =
             (metrics_ != nullptr && obs::enabled()) ? metrics_ : nullptr;
-        const std::uint64_t t_claim0 =
+        const std::uint64_t t_fire0 =
             obs_m != nullptr ? obs::now_ns() : 0;
 
-        // ---- 4. Claim members. ----
-        std::vector<Node*> claimed;
-        bool claim_ok = true;
-        for (std::size_t i : member_idx) {
-          Process* p = nodes[i].p;
-          std::scoped_lock state_lock(p->state_mutex);
-          if (p->state == RunState::Parked && !p->offers.empty()) {
-            p->state = RunState::Claimed;
-            claimed.push_back(&nodes[i]);
-          } else {
-            claim_ok = false;
-            break;
-          }
-        }
+        // Every member stays Parked with its offers until step 6 resumes
+        // it: a process leaves Parked only under the society mutex, which
+        // with_live holds for this whole sweep. A component that stops
+        // short of the commit (a failed evaluation, an injected abort) is
+        // just not fired this sweep.
 
-        auto revert = [&] {
-          for (Node* n : claimed) {
-            Process* p = n->p;
-            bool enqueue = false;
-            {
-              std::scoped_lock state_lock(p->state_mutex);
-              if (p->pending_wake) {
-                p->pending_wake = false;
-                p->state = RunState::Ready;
-                enqueue = true;
-              } else {
-                p->state = RunState::Parked;
-              }
-            }
-            if (enqueue) scheduler_.enqueue_ready(p->pid);
-          }
-        };
-
-        if (!claim_ok) {
-          revert();
-          continue;
-        }
-
-        // Injection point: every member is Claimed, offers not yet
-        // evaluated. FailCommit aborts through the same revert path a
-        // lost claim race takes — members return to Parked with offers
-        // intact and the sweep retries, proving an abort here cannot
-        // wedge the set.
+        // Injection point: the component is fireable, offers not yet
+        // evaluated. FailCommit skips the fire and the sweep retries,
+        // proving an abort here cannot wedge the set.
         if (faults_ != nullptr) {
           switch (faults_->decide(FaultPoint::ConsensusClaim)) {
             case FaultAction::Delay:
@@ -257,22 +223,21 @@ bool ConsensusManager::sweep_once() {
             case FaultAction::FailCommit:
               injected_aborts_.fetch_add(1, std::memory_order_relaxed);
               injected_abort = true;
-              revert();
               continue;
             default:
               break;
           }
         }
 
-        // ---- 5. Evaluate every member's offers against the pre-state. ----
+        // ---- 4. Evaluate every member's offers against the pre-state. ----
         std::vector<MemberPlan> plans;
-        plans.reserve(claimed.size());
+        plans.reserve(member_idx.size());
         bool eval_ok = true;
-        for (Node* n : claimed) {
-          Process* p = n->p;
+        for (std::size_t i : member_idx) {
+          Process* p = nodes[i].p;
           MemberPlan plan;
-          plan.node = n;
-          for (const ConsensusOffer& offer : n->offers) {
+          plan.p = p;
+          for (const ConsensusOffer& offer : nodes[i].offers) {
             QueryOutcome outcome;
             if (p->view_ptr() != nullptr && !p->view_ptr()->imports_everything()) {
               const WindowSource window(space, *p->view_ptr(), p->env, fns,
@@ -296,15 +261,12 @@ bool ConsensusManager::sweep_once() {
           }
           plans.push_back(std::move(plan));
         }
-        if (!eval_ok) {
-          revert();
-          continue;
-        }
+        if (!eval_ok) continue;
 
         // Injection point: offers evaluated and satisfiable, composite
         // effects not yet applied — the last instant an abort is still
         // effect-free. FailCommit here must leave the dataspace
-        // untouched (nothing below has run) and the members re-parked.
+        // untouched (nothing below has run) and the members parked.
         if (faults_ != nullptr) {
           switch (faults_->decide(FaultPoint::ConsensusCommit)) {
             case FaultAction::Delay:
@@ -313,14 +275,13 @@ bool ConsensusManager::sweep_once() {
             case FaultAction::FailCommit:
               injected_aborts_.fetch_add(1, std::memory_order_relaxed);
               injected_abort = true;
-              revert();
               continue;
             default:
               break;
           }
         }
 
-        // ---- 6. Composite commit: materialize every member's assertions
+        // ---- 5. Composite commit: materialize every member's assertions
         //         against the common pre-state, then commit all members
         //         as one (§2.2's composite rule: all retractions, then all
         //         additions; materializing first keeps a throwing field
@@ -336,7 +297,7 @@ bool ConsensusManager::sweep_once() {
         for (std::size_t pi = 0; pi < plans.size(); ++pi) {
           // An Exists winner's binding is still in its member's env.
           const MemberPlan& plan = plans[pi];
-          const Process* p = plan.node->p;
+          const Process* p = plan.p;
           materialize_asserts(*plan.txn, plan.outcome, p->env, p->view_ptr(),
                               fns, to_insert[pi]);
           parts[pi] = {p->pid, plan.txn, &plan.outcome, &to_insert[pi],
@@ -345,25 +306,17 @@ bool ConsensusManager::sweep_once() {
         engine_.commit(parts, kEnvironmentProcess,
                        fires_.load(std::memory_order_relaxed) + 1, touched);
 
-        // ---- 7. Resume every member with its result. ----
+        // ---- 6. Resume every member with its result. ----
         for (std::size_t pi = 0; pi < plans.size(); ++pi) {
-          Process* p = plans[pi].node->p;
           TxnResult& result = results[pi];
           result.success = true;
           result.matches = std::move(plans[pi].outcome.matches);
-          {
-            std::scoped_lock state_lock(p->state_mutex);
-            p->consensus_result =
-                ConsensusResult{plans[pi].branch, std::move(result)};
-            p->state = RunState::Ready;
-            p->pending_wake = false;
-            if (obs_m != nullptr) p->woke_at_ns = obs::now_ns();
-          }
-          scheduler_.enqueue_ready(p->pid);
+          scheduler_.resume(*plans[pi].p,
+                            ConsensusResult{plans[pi].branch, std::move(result)});
         }
         fires_.fetch_add(1, std::memory_order_relaxed);
         if (obs_m != nullptr) {
-          obs_m->consensus_claim_fire_ns->record(obs::now_ns() - t_claim0);
+          obs_m->consensus_claim_fire_ns->record(obs::now_ns() - t_fire0);
         }
         fired_any = true;
       }

@@ -44,15 +44,15 @@ class ConsensusManager {
   void notify();
 
   /// Arms the ConsensusClaim / ConsensusCommit injection points (null
-  /// disables). FailCommit at either point aborts the fire attempt via
-  /// the claim-revert path — every member returns to Parked with its
-  /// offers intact and the sweep retries, so an injected abort can delay
-  /// a consensus but never wedge or corrupt it. (Arming FailCommit at
+  /// disables). FailCommit at either point skips the fire the way a
+  /// failed evaluation does — every member stays Parked with its offers
+  /// intact and the sweep retries, so an injected abort can delay a
+  /// consensus but never wedge or corrupt it. (Arming FailCommit at
   /// permille 1000 with unlimited fires is a livelock by construction —
   /// chaos tests bound the fire budget instead.)
   void set_fault_injector(FaultInjector* f) { faults_ = f; }
 
-  /// Arms the claim-to-fire latency instrument (null disables; also
+  /// Arms the fire latency instrument (null disables; also
   /// re-gated on the SDL_OBS runtime flag, once per fired component).
   void set_metrics(obs::RuntimeMetrics* m) { metrics_ = m; }
 

@@ -9,7 +9,7 @@
 // SmallVector allocates only once it outgrows N elements; until then the
 // elements live in the object.
 //
-// It offers the subset of std::vector's interface the query results use.
+// It offers the subset of std::vector's interface its users need.
 // Moving an inline SmallVector moves its elements one by one, so keep N
 // small.
 #pragma once
@@ -74,6 +74,8 @@ class SmallVector {
   [[nodiscard]] const_iterator end() const { return data_ + size_; }
   [[nodiscard]] T& operator[](size_type i) { return data_[i]; }
   [[nodiscard]] const T& operator[](size_type i) const { return data_[i]; }
+  [[nodiscard]] T& back() { return data_[size_ - 1]; }
+  [[nodiscard]] const T& back() const { return data_[size_ - 1]; }
 
   void reserve(size_type n) {
     if (n > capacity_) reallocate(n);
@@ -90,6 +92,10 @@ class SmallVector {
   }
   void push_back(const T& v) { emplace_back(v); }
   void push_back(T&& v) { emplace_back(std::move(v)); }
+  void pop_back() {
+    --size_;
+    std::destroy_at(data_ + size_);
+  }
 
   void clear() noexcept {
     std::destroy(begin(), end());

@@ -44,7 +44,7 @@ enum class FaultPoint : std::uint8_t {
   WaitSetPublish,     // publish_batch(): before the subscriber maps are probed
   WakeDeliver,        // publish_batch(): callbacks collected, not yet invoked
   SchedulerDispatch,  // worker popped a pid and owns the process
-  ConsensusClaim,     // consensus members claimed, offers not yet evaluated
+  ConsensusClaim,     // consensus component fireable, offers not yet evaluated
   ConsensusCommit,    // offers evaluated, composite effects not yet applied
   WalAppend,          // WAL writer framed the record, bytes not yet durable
   SnapshotWrite,      // snapshot payload serialized, file not yet renamed

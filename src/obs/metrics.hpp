@@ -219,8 +219,8 @@ struct RuntimeMetrics {
   LatencyHistogram* park_replication_ns = nullptr;
   LatencyHistogram* wake_to_dispatch_ns = nullptr;
 
-  // Consensus: claim (state → Claimed) through composite commit and
-  // member resume, per fired component.
+  // Consensus: from finding a component fireable through composite
+  // commit and member resume, per fired component.
   LatencyHistogram* consensus_claim_fire_ns = nullptr;
 
   // Durability: committer-side WAL append, flush-batch write+fdatasync

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/small_vector.hpp"
 #include "process/statement.hpp"
 #include "txn/engine.hpp"
 
@@ -52,13 +53,15 @@ class ProcessDef {
 };
 
 /// Scheduling state of a logical process. Transitions are guarded by the
-/// process's own mutex (state_mutex_):
+/// process's own mutex (Process::state_mutex):
 ///   Ready --(worker pops)--> Running
-///   Running --(blocks)-->    Parked        --(wake)--> Ready
-///   Parked --(consensus manager)--> Claimed --(fire)--> Ready
-///                                           --(revoke)--> Parked
-///   Running/any --(final statement or abort)--> Done
-enum class RunState { Ready, Running, Parked, Claimed, Done };
+///   Running --(blocks)-->    Parked --(wake, kill, deadline, fire)--> Ready
+///   Running --(yields, or a pending wake cancels its park)--> Ready
+///   Running --(final statement, abort or teardown)--> Done
+/// A process leaves Parked only under the scheduler's society mutex, which
+/// a consensus sweep holds throughout, so a sweep's view of who is parked
+/// cannot change under it.
+enum class RunState { Ready, Running, Parked, Done };
 
 /// Why a parked process is parked (diagnostics / deadlock reports).
 enum class ParkReason { None, DelayedTxn, Selection, Consensus, Replication };
@@ -130,7 +133,6 @@ struct Frame {
     Txn,        // executing a single transaction statement
     Select,     // selection: choosing a branch
     Repeat,     // repetition: pc 0 = selecting, 1 = running branch body
-    BranchBody, // running the body of a chosen branch (stmt = body seq)
     Replicate,  // parent side of a replication (parked until group done)
     Sweep,      // replicant side: sweep guards of stmt (a Replication)
   };
@@ -139,9 +141,10 @@ struct Frame {
   std::size_t pc = 0;
 };
 
-/// A logical process instance. Owned by the Society; touched by scheduler
-/// workers (one at a time — the state machine guarantees single ownership
-/// while Running) and by the wake/consensus paths under state_mutex_.
+/// A logical process instance. Held in place by the scheduler's society
+/// map; touched by scheduler workers (one at a time — the state machine
+/// guarantees single ownership while Running) and by the wake/consensus
+/// paths under state_mutex.
 class Process {
  public:
   Process(ProcessId pid, const ProcessDef& def, std::vector<Value> args);
@@ -157,7 +160,9 @@ class Process {
 
   // --- interpreter state: owned by the worker while Running ---
   Env env;
-  std::vector<Frame> frames;
+  /// The interpreter's frame stack. The example programs nest at most four
+  /// frames deep, so a spawn allocates no stack of its own.
+  SmallVector<Frame, 4> frames;
   std::optional<View> view;           // engaged when def.view is non-trivial
   std::shared_ptr<ReplicationGroup> group;        // non-null for replicants
   std::shared_ptr<ReplicationGroup> owned_group;  // parent's group
@@ -193,12 +198,12 @@ class Process {
   /// park state is still intact); consumed by the retiring worker.
   std::string timeout_note;
 
-  // --- scheduling state: guarded by state_mutex_ ---
-  std::mutex state_mutex;
+  // --- scheduling state: guarded by state_mutex ---
+  mutable std::mutex state_mutex;
   RunState state = RunState::Ready;
   bool pending_wake = false;
   ParkReason park_reason = ParkReason::None;
-  std::vector<ConsensusOffer> offers;            // valid while Parked/Claimed
+  std::vector<ConsensusOffer> offers;            // valid while Parked
   std::optional<ConsensusResult> consensus_result;
   /// Armed park deadline (the watchdog expires it). Valid while Parked.
   bool has_deadline = false;
@@ -208,12 +213,9 @@ class Process {
   //     the SDL_OBS instruments are armed, 0 = unstamped) ---
   /// When finalize_park made the park effective, obs::now_ns().
   std::uint64_t park_started_ns = 0;
-  /// When a wake, deadline expiry or consensus resume made the process
-  /// Ready again (0 unless obs is on).
+  /// When a wake, kill, deadline expiry or consensus resume made the
+  /// process Ready again (0 unless obs is on).
   std::uint64_t woke_at_ns = 0;
-  /// Stable copy of park_reason for begin_running's metrics read —
-  /// wake() resets park_reason to None before the redispatch.
-  ParkReason obs_park_reason = ParkReason::None;
 
   [[nodiscard]] const View* view_ptr() const {
     return view.has_value() ? &*view : nullptr;

@@ -137,7 +137,7 @@ ProcessId Scheduler::spawn(const ProcessDef& def, std::vector<Value> args) {
   {
     std::scoped_lock lock(society_mutex_);
     pid = next_pid_++;
-    society_.emplace(pid, std::make_unique<Process>(pid, def, std::move(args)));
+    society_.try_emplace(pid, pid, def, std::move(args));
   }
   spawned_.fetch_add(1, std::memory_order_relaxed);
   if (trace_ != nullptr && trace_->enabled()) {
@@ -153,7 +153,7 @@ ProcessId Scheduler::spawn_replicant(
   {
     std::scoped_lock lock(society_mutex_);
     pid = next_pid_++;
-    society_.emplace(pid, std::make_unique<Process>(pid, parent, group));
+    society_.try_emplace(pid, pid, parent, group);
   }
   spawned_.fetch_add(1, std::memory_order_relaxed);
   return pid;
@@ -164,7 +164,7 @@ void Scheduler::with_live(
   std::scoped_lock lock(society_mutex_);
   std::vector<Process*> live;
   live.reserve(society_.size());
-  for (auto& [pid, p] : society_) live.push_back(p.get());
+  for (auto& [pid, p] : society_) live.push_back(&p);
   fn(live);
 }
 
@@ -182,8 +182,6 @@ void Scheduler::enqueue_new(ProcessId pid) {
   queue_cv_.notify_one();
 }
 
-void Scheduler::enqueue_ready(ProcessId pid) { enqueue_new(pid); }
-
 void Scheduler::requeue(ProcessId pid) {
   {
     std::scoped_lock lock(queue_mutex_);
@@ -192,29 +190,42 @@ void Scheduler::requeue(ProcessId pid) {
   queue_cv_.notify_one();
 }
 
+bool Scheduler::unpark(Process& p) {
+  if (p.state != RunState::Parked) return false;
+  assert(!p.pending_wake && "finalize_park consumes a pending wake");
+  p.state = RunState::Ready;
+  if (obs_metrics() != nullptr) p.woke_at_ns = obs::now_ns();
+  return true;
+}
+
+void Scheduler::release_park(Process& p) {
+  p.offers.clear();
+  if (p.counted_waiter) {
+    consensus_waiters_.fetch_sub(1, std::memory_order_relaxed);
+    p.counted_waiter = false;
+  }
+  if (p.has_deadline) {
+    p.has_deadline = false;
+    deadlines_armed_.fetch_sub(1, std::memory_order_release);
+  }
+  if (p.counted_parked && p.group != nullptr) {
+    p.group->parked.fetch_sub(1, std::memory_order_acq_rel);
+    p.counted_parked = false;
+  }
+}
+
 void Scheduler::wake(ProcessId pid) {
   std::scoped_lock society_lock(society_mutex_);
   auto it = society_.find(pid);
   if (it == society_.end()) return;
-  Process& p = *it->second;
-  bool enqueue = false;
+  Process& p = it->second;
+  bool enqueue;
   {
     std::scoped_lock state_lock(p.state_mutex);
-    switch (p.state) {
-      case RunState::Parked:
-        p.state = RunState::Ready;
-        p.park_reason = ParkReason::None;
-        if (obs_metrics() != nullptr) p.woke_at_ns = obs::now_ns();
-        enqueue = true;
-        break;
-      case RunState::Running:
-      case RunState::Claimed:
-        p.pending_wake = true;
-        break;
-      case RunState::Ready:
-      case RunState::Done:
-        break;
-    }
+    enqueue = unpark(p);
+    // A wake for a process mid-quantum must not be lost: finalize_park
+    // turns it into a requeue.
+    if (p.state == RunState::Running) p.pending_wake = true;
   }
   if (enqueue) {
     if (trace_ != nullptr && trace_->enabled()) {
@@ -225,27 +236,36 @@ void Scheduler::wake(ProcessId pid) {
 }
 
 bool Scheduler::kill(ProcessId pid) {
-  bool wake_it = false;
+  bool enqueue;
   {
     std::scoped_lock society_lock(society_mutex_);
     auto it = society_.find(pid);
     if (it == society_.end()) return false;
-    Process& p = *it->second;
+    Process& p = it->second;
     p.pending_kill.store(true, std::memory_order_release);
     std::scoped_lock state_lock(p.state_mutex);
-    if (p.state == RunState::Parked) {
-      p.state = RunState::Ready;
-      wake_it = true;
-    }
-    // Ready / Running / Claimed: the flag is honored when a worker next
-    // owns the process — at dispatch, at the quantum boundary, or on
-    // consensus resume. A victim claimed by a firing consensus still
-    // contributes its offer (the composite commit is atomic and already
-    // decided); only its local continuation is discarded, which is
-    // exactly a crash after the commit.
+    // A parked victim is woken for its teardown. A Ready or Running one
+    // meets the flag when a worker next owns it: at dispatch or at the
+    // quantum boundary. Holding society_mutex_ orders the kill against a
+    // whole consensus sweep: a victim killed first is no longer parked,
+    // so its component does not fire; a victim resumed by a fire first
+    // has its committed offer kept and only its continuation discarded,
+    // which is exactly a crash after the commit.
+    enqueue = unpark(p);
   }
-  if (wake_it) enqueue_new(pid);
+  if (enqueue) enqueue_new(pid);
   return true;
+}
+
+void Scheduler::resume(Process& p, ConsensusResult result) {
+  bool enqueue;
+  {
+    std::scoped_lock state_lock(p.state_mutex);
+    p.consensus_result = std::move(result);
+    enqueue = unpark(p);
+  }
+  assert(enqueue && "a sweep's members stay Parked until it resumes them");
+  if (enqueue) enqueue_new(p.pid);
 }
 
 void Scheduler::wake_one_parked(std::uint64_t salt) {
@@ -255,8 +275,8 @@ void Scheduler::wake_one_parked(std::uint64_t salt) {
     std::vector<ProcessId> parked;
     parked.reserve(society_.size());
     for (auto& [pid, p] : society_) {
-      std::scoped_lock state_lock(p->state_mutex);
-      if (p->state == RunState::Parked) parked.push_back(pid);
+      std::scoped_lock state_lock(p.state_mutex);
+      if (p.state == RunState::Parked) parked.push_back(pid);
     }
     if (parked.empty()) return;
     std::sort(parked.begin(), parked.end());
@@ -289,50 +309,35 @@ Process* Scheduler::begin_running(ProcessId pid) {
   std::scoped_lock society_lock(society_mutex_);
   auto it = society_.find(pid);
   if (it == society_.end()) return nullptr;
-  Process& p = *it->second;
-  {
-    std::scoped_lock state_lock(p.state_mutex);
-    assert(p.state == RunState::Ready);
-    // Deadline-staging invariant (audited; see finalize_park): every
-    // interpreter path that stages park_timeout_ms returns Parked
-    // immediately after, and finalize_park consumes-and-resets the staged
-    // value unconditionally — including when a pending wake cancels the
-    // park (the interpreter re-stages on its next park attempt). So a
-    // process can never reach dispatch with a stale staged timeout.
-    assert(p.park_timeout_ms == 0 &&
-           "staged park timeout must be consumed by finalize_park");
-    if (obs::RuntimeMetrics* const m = obs_metrics(); m != nullptr) {
-      const std::uint64_t now = obs::now_ns();
-      if (p.park_started_ns != 0) {
-        if (obs::LatencyHistogram* h = park_histogram(m, p.obs_park_reason)) {
-          h->record(now > p.park_started_ns ? now - p.park_started_ns : 0);
-        }
-      }
-      if (p.woke_at_ns != 0) {
-        m->wake_to_dispatch_ns->record(now > p.woke_at_ns ? now - p.woke_at_ns
-                                                          : 0);
+  Process& p = it->second;
+  std::scoped_lock state_lock(p.state_mutex);
+  assert(p.state == RunState::Ready);
+  // Deadline-staging invariant (audited; see finalize_park): every
+  // interpreter path that stages park_timeout_ms returns Parked
+  // immediately after, and finalize_park consumes-and-resets the staged
+  // value unconditionally — including when a pending wake cancels the
+  // park (the interpreter re-stages on its next park attempt). So a
+  // process can never reach dispatch with a stale staged timeout.
+  assert(p.park_timeout_ms == 0 &&
+         "staged park timeout must be consumed by finalize_park");
+  if (obs::RuntimeMetrics* const m = obs_metrics(); m != nullptr) {
+    const std::uint64_t now = obs::now_ns();
+    if (p.park_started_ns != 0) {
+      if (obs::LatencyHistogram* h = park_histogram(m, p.park_reason)) {
+        h->record(now > p.park_started_ns ? now - p.park_started_ns : 0);
       }
     }
-    p.park_started_ns = 0;
-    p.woke_at_ns = 0;
-    p.obs_park_reason = ParkReason::None;
-    p.state = RunState::Running;
-    p.pending_wake = false;
-    p.park_reason = ParkReason::None;
-    if (p.counted_waiter) {
-      consensus_waiters_.fetch_sub(1, std::memory_order_relaxed);
-      p.counted_waiter = false;
-    }
-    p.offers.clear();
-    if (p.has_deadline) {
-      p.has_deadline = false;
-      deadlines_armed_.fetch_sub(1, std::memory_order_release);
+    if (p.woke_at_ns != 0) {
+      m->wake_to_dispatch_ns->record(now > p.woke_at_ns ? now - p.woke_at_ns
+                                                        : 0);
     }
   }
-  if (p.counted_parked && p.group != nullptr) {
-    p.group->parked.fetch_sub(1, std::memory_order_acq_rel);
-    p.counted_parked = false;
-  }
+  p.park_started_ns = 0;
+  p.woke_at_ns = 0;
+  p.state = RunState::Running;
+  p.pending_wake = false;
+  p.park_reason = ParkReason::None;
+  release_park(p);
   return &p;
 }
 
@@ -349,8 +354,8 @@ bool Scheduler::finalize_park(Process& p, ParkReason reason) {
   // begin_running asserts the field is clear at dispatch). The
   // deadlines_armed_ counter is equally balanced: armed only in the
   // successful-park branch below, disarmed exactly once per armed park —
-  // by begin_running on dispatch or by retire() on teardown; a cancelled
-  // park never reaches the arming code.
+  // by release_park, on dispatch or on teardown; a cancelled park never
+  // reaches the arming code.
   const std::int64_t staged = p.park_timeout_ms;
   p.park_timeout_ms = 0;
   std::int64_t timeout_ms = 0;
@@ -383,16 +388,11 @@ bool Scheduler::finalize_park(Process& p, ParkReason reason) {
   bool armed = false;
   {
     std::scoped_lock state_lock(p.state_mutex);
-    if (p.pending_wake) {
-      p.pending_wake = false;
-      p.state = RunState::Ready;
-      return false;  // caller requeues
-    }
+    if (p.pending_wake) return false;  // caller requeues
     p.state = RunState::Parked;
     p.park_reason = reason;
     if (obs_metrics() != nullptr) {
       p.park_started_ns = obs::now_ns();
-      p.obs_park_reason = reason;
       p.woke_at_ns = 0;
     }
     if (!p.offers.empty()) {
@@ -420,32 +420,19 @@ void Scheduler::retire(Process& p, RetireKind kind, std::string note) {
   if (trace_ != nullptr && trace_->enabled()) {
     trace_->record(TraceKind::Terminate, p.pid, p.def.name);
   }
-  // 2. Withdraw consensus offers under the state lock: a concurrently
-  //    sweeping consensus manager either observes the process still
-  //    Parked with offers (and may claim it before we get the lock) or
-  //    observes Done with no offers — never a claim on a dying process.
+  // 2. Mark the process Done and release what its last park held. The
+  //    process is Running here, so a consensus sweep already treats it as
+  //    runnable and can never fire its stale offers.
   {
     std::scoped_lock state_lock(p.state_mutex);
     p.state = RunState::Done;
-    p.offers.clear();
     p.consensus_result.reset();
-    if (p.counted_waiter) {
-      consensus_waiters_.fetch_sub(1, std::memory_order_relaxed);
-      p.counted_waiter = false;
-    }
-    if (p.has_deadline) {
-      p.has_deadline = false;
-      deadlines_armed_.fetch_sub(1, std::memory_order_release);
-    }
+    release_park(p);
   }
   // 3. Settle replication accounting. The group is held by shared_ptr, so
   //    a parent torn down early cannot dangle its replicants.
   std::shared_ptr<ReplicationGroup> group = p.group;
   const ProcessId pid = p.pid;
-  if (p.counted_parked && group != nullptr) {
-    group->parked.fetch_sub(1, std::memory_order_acq_rel);
-    p.counted_parked = false;
-  }
   if (p.owned_group != nullptr && kind != RetireKind::Completed) {
     // A parent that dies mid-replication aborts the construct; replicants
     // observe done/abort on their next step and drain instead of sweeping
@@ -560,14 +547,11 @@ void Scheduler::expire_deadlines(std::chrono::steady_clock::time_point now) {
     std::scoped_lock society_lock(society_mutex_);
     for (auto& [pid, p] : society_) {
       {
-        std::scoped_lock state_lock(p->state_mutex);
-        // Claimed processes are mid-consensus-fire: their deadline is
-        // held over (checked again if the claim reverts them to Parked).
-        if (p->state != RunState::Parked || !p->has_deadline) continue;
-        if (now < p->deadline) continue;
-        p->timed_out.store(true, std::memory_order_release);
-        p->state = RunState::Ready;
-        if (obs_metrics() != nullptr) p->woke_at_ns = obs::now_ns();
+        std::scoped_lock state_lock(p.state_mutex);
+        // A process already made Ready keeps has_deadline until dispatch;
+        // only a parked one can expire.
+        if (!p.has_deadline || now < p.deadline || !unpark(p)) continue;
+        p.timed_out.store(true, std::memory_order_release);
         // has_deadline stays set (and deadlines_armed_ stays raised)
         // until begin_running hands the process to its retiring worker —
         // the quiescence check must keep treating it as pending work.
@@ -576,9 +560,8 @@ void Scheduler::expire_deadlines(std::chrono::steady_clock::time_point now) {
       // interest, environment) is intact and we exclusively control the
       // process: it is Ready but not yet enqueued, and holding
       // society_mutex_ blocks any begin_running.
-      p->timeout_note = p->label() + " (" +
-                        park_reason_name(p->park_reason) +
-                        ") park deadline expired" + explain_park_locked(*p);
+      p.timeout_note = p.label() + " (" + park_reason_name(p.park_reason) +
+                       ") park deadline expired" + explain_park_locked(p);
       expired.push_back(pid);
     }
   }
@@ -649,23 +632,23 @@ std::string Scheduler::explain_park_locked(const Process& p) const {
     if (qid == p.pid) continue;
     RunState qs;
     {
-      std::scoped_lock state_lock(q->state_mutex);
-      qs = q->state;
+      std::scoped_lock state_lock(q.state_mutex);
+      qs = q.state;
     }
     if (qs == RunState::Done) continue;
     Env scratch;
-    const Env* env = &q->env;
+    const Env* env = &q.env;
     if (qs == RunState::Running) {
-      scratch.resize(q->def.env_size());
+      scratch.resize(q.def.env_size());
       env = &scratch;
     }
     std::vector<const Transaction*> txns;
-    collect_txns(q->def.body.get(), txns);
+    collect_txns(q.def.body.get(), txns);
     for (const Transaction* t : txns) {
       if (t->is_read_only()) continue;
       if (interest_overlaps(p.interest,
                             t->write_set(*env, engine_.functions()))) {
-        suppliers.push_back(q->label());
+        suppliers.push_back(q.label());
         break;
       }
     }
@@ -685,11 +668,6 @@ std::string Scheduler::explain_park_locked(const Process& p) const {
     }
   }
   return out;
-}
-
-std::string Scheduler::explain_park(const Process& p) {
-  std::scoped_lock lock(society_mutex_);
-  return explain_park_locked(p);
 }
 
 // --------------------------------------------------------------------- run
@@ -817,10 +795,10 @@ bool Scheduler::det_advance_clock() {
   {
     std::scoped_lock society_lock(society_mutex_);
     for (auto& [pid, p] : society_) {
-      std::scoped_lock state_lock(p->state_mutex);
-      if (p->state != RunState::Parked || !p->has_deadline) continue;
-      if (!found || p->deadline < earliest) {
-        earliest = p->deadline;
+      std::scoped_lock state_lock(p.state_mutex);
+      if (p.state != RunState::Parked || !p.has_deadline) continue;
+      if (!found || p.deadline < earliest) {
+        earliest = p.deadline;
         found = true;
       }
     }
@@ -839,11 +817,11 @@ RunReport Scheduler::build_report(std::uint64_t completed_before) {
     std::scoped_lock lock(society_mutex_);
     // Workers are joined: states are stable, environments readable.
     std::vector<const Process*> parked;
-    for (const auto& [pid, p] : society_) {
-      std::scoped_lock state_lock(p->state_mutex);
-      if (p->state != RunState::Parked) continue;
+    for (auto& [pid, p] : society_) {
+      std::scoped_lock state_lock(p.state_mutex);
+      if (p.state != RunState::Parked) continue;
       ++report.still_parked;
-      switch (p->park_reason) {
+      switch (p.park_reason) {
         case ParkReason::Consensus:
           ++report.parked_on_consensus;
           break;
@@ -854,7 +832,7 @@ RunReport Scheduler::build_report(std::uint64_t completed_before) {
           ++report.parked_on_data;
           break;
       }
-      parked.push_back(p.get());
+      parked.push_back(&p);
     }
     // Render outside the per-process state locks: the wait-for diagnosis
     // peeks at *other* processes' states, and state mutexes must not nest.
@@ -954,11 +932,6 @@ void Scheduler::dispatch_one(ProcessId pid) {
   switch (outcome) {
     case StepOutcome::Continue:  // run_process never returns Continue
     case StepOutcome::Yield:
-      {
-        std::scoped_lock state_lock(p->state_mutex);
-        p->state = RunState::Ready;
-      }
-      requeue(pid);
       break;
     case StepOutcome::Parked:
       // The interpreter stored the reason in p->park_reason before
@@ -969,15 +942,19 @@ void Scheduler::dispatch_one(ProcessId pid) {
         }
         notify_consensus();
         work_finished();
-      } else {
-        requeue(pid);
+        return;
       }
-      break;
+      break;  // a pending wake cancelled the park
     case StepOutcome::Done:
       complete(*p);
       work_finished();
-      break;
+      return;
   }
+  {
+    std::scoped_lock state_lock(p->state_mutex);
+    p->state = RunState::Ready;
+  }
+  requeue(pid);
 }
 
 // ------------------------------------------------------------ interpreter
@@ -1020,11 +997,6 @@ Scheduler::StepOutcome Scheduler::run_process(Process& p) {
         } else {
           out = do_selection(p, f);
         }
-        break;
-      case Frame::Type::BranchBody:
-        // BranchBody frames are plain sequence frames in practice; this
-        // type exists for diagnostics only.
-        p.frames.pop_back();
         break;
       case Frame::Type::Replicate:
         out = do_replicate_parent(p, f);

@@ -8,7 +8,7 @@
 //    (no lost wakeups), then park; commits wake exactly the interested
 //    parked processes (WaitSet policy permitting).
 //  * Consensus transactions park with registered offers; the
-//    ConsensusManager claims, evaluates and commits entire consensus sets
+//    ConsensusManager finds, evaluates and commits entire consensus sets
 //    (src/consensus).
 //  * Replication spawns `replication_width` replicant tasks that sweep the
 //    guards concurrently; the last replicant to fail every guard verifies
@@ -168,13 +168,13 @@ class Scheduler {
   void wake(ProcessId pid);
 
   /// Requests crash-safe teardown of `pid`: its WaitSet subscription is
-  /// unsubscribed, pending consensus offers are withdrawn (the claim
-  /// aborts without wedging the rest of the consensus set), replication
-  /// accounting is settled, and the process is released. Asynchronous —
-  /// the teardown runs on the worker that next owns the process (a parked
-  /// victim is woken for it; during quiescence kill() may be issued
-  /// before run() and takes effect as the run starts). The teardown is
-  /// recorded in RunReport::killed. Returns false for an unknown pid.
+  /// unsubscribed, pending consensus offers are withdrawn (without
+  /// wedging the rest of its consensus set), replication accounting is
+  /// settled, and the process is released. Asynchronous — the teardown
+  /// runs on the worker that next owns the process (a parked victim is
+  /// woken for it; during quiescence kill() may be issued before run() and
+  /// takes effect as the run starts). The teardown is recorded in
+  /// RunReport::killed. Returns false for an unknown pid.
   bool kill(ProcessId pid);
 
   /// Executes `fn` with the society locked; `live` spans every process
@@ -182,8 +182,9 @@ class Scheduler {
   /// exclusive section.
   void with_live(const std::function<void(const std::vector<Process*>&)>& fn);
 
-  /// Queue a process already marked Ready (consensus manager resume path).
-  void enqueue_ready(ProcessId pid);
+  /// Consensus manager resume path, called inside with_live: hands the
+  /// parked member `p` its fired offer's result and makes it Ready.
+  void resume(Process& p, ConsensusResult result);
 
   [[nodiscard]] Engine& engine() { return engine_; }
   [[nodiscard]] std::size_t worker_count() const { return options_.workers; }
@@ -193,10 +194,6 @@ class Scheduler {
   }
   [[nodiscard]] std::uint64_t total_completed() const {
     return completed_.load(std::memory_order_relaxed);
-  }
-  /// Parked-with-consensus-offers count (the manager's trigger gate).
-  [[nodiscard]] int consensus_waiters() const {
-    return consensus_waiters_.load(std::memory_order_relaxed);
   }
 
   /// Processes torn down by kill()/fault injection, and by park-deadline
@@ -256,14 +253,24 @@ class Scheduler {
   /// step the DecisionSource will observe. No-op while not recording.
   void sim_note_txn(const Transaction& txn, Env& env);
   Process* begin_running(ProcessId pid);
-  /// Returns false when a pending wake converted the park into Ready (the
-  /// caller then requeues instead).
+  /// Returns false when a pending wake cancels the park; the process stays
+  /// Running and the caller requeues it.
   bool finalize_park(Process& p, ParkReason reason);
+  /// The one Parked -> Ready edge, shared by wake, kill, deadline expiry
+  /// and consensus resume. Caller holds society_mutex_ (so no consensus
+  /// sweep is in flight) and p.state_mutex. Stamps woke_at_ns when obs is
+  /// armed; returns true when `p` was parked and the caller must enqueue
+  /// it, false (and changes nothing) otherwise.
+  bool unpark(Process& p);
+  /// Releases what a park holds once the process stops being parked
+  /// (dispatch or teardown): its consensus offers and their waiter-gate
+  /// count, an armed deadline, and a replicant's place in its group's
+  /// parked count. Caller holds p.state_mutex.
+  void release_park(Process& p);
   /// The single teardown path: unsubscribes the WaitSet entry, withdraws
   /// consensus offers under the state lock, settles replication-group
   /// accounting, erases the process, and records the outcome under `kind`.
-  /// Caller must own the process (worker context) or hold exclusive
-  /// access (pre-run kill drain).
+  /// Caller owns the process (worker context, state Running).
   void retire(Process& p, RetireKind kind, std::string note);
   void complete(Process& p) { retire(p, RetireKind::Completed, {}); }
   void requeue(ProcessId pid);
@@ -290,8 +297,6 @@ class Scheduler {
   /// subscribed index keys, and which live processes could export a
   /// matching tuple. Caller holds society_mutex_.
   [[nodiscard]] std::string explain_park_locked(const Process& p) const;
-  /// Same, acquiring society_mutex_ (worker context, no locks held).
-  [[nodiscard]] std::string explain_park(const Process& p);
 
   /// The armed instrument set when observability is wired AND enabled,
   /// else null (the per-operation gate, same shape as Engine's).
@@ -314,7 +319,10 @@ class Scheduler {
   std::unordered_map<std::string, std::unique_ptr<ProcessDef>> defs_;
 
   mutable std::mutex society_mutex_;  // guards society_ and next_pid_
-  std::unordered_map<ProcessId, std::unique_ptr<Process>> society_;
+  /// Each Process lives in its map node: a spawn allocates the node and
+  /// the environment, nothing else. Nodes never move, so the pointers
+  /// with_live hands out stay valid until the process is erased.
+  std::unordered_map<ProcessId, Process> society_;
   ProcessId next_pid_ = 1;
 
   std::mutex queue_mutex_;  // guards ready_, inflight_, stop_, running_

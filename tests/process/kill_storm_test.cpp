@@ -1,11 +1,16 @@
-// Scheduler::kill racing a park-deadline storm (robustness satellite):
+// Scheduler::kill racing a park-deadline storm and consensus sweeps:
 // killed workers with pending watchdog wakeups must tear down exactly
 // once, leak no WaitSet subscriptions, and never fire a deadline after
-// teardown. Run under TSan/ASan in CI — the interesting failures here are
-// races and use-after-frees, not assertion misses.
+// teardown; kills and wakes aimed at consensus members must never let a
+// sweep fire a set one of them has left. Run under TSan/ASan in CI — the
+// interesting failures here are races and use-after-frees, not assertion
+// misses.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -110,6 +115,95 @@ TEST(KillStorm, RepeatedStormsDoNotAccumulateState) {
   EXPECT_EQ(torn_down, 5u * 16u);
   EXPECT_EQ(rt.scheduler().total_killed() + rt.scheduler().total_timed_out(),
             5u * 16u);
+}
+
+TEST(KillStorm, KillAndWakeRacingConsensusSweeps) {
+  // Victims park on a `^` offer that can never hold, in one consensus set
+  // with the survivors' barrier (all import everything), so the barrier
+  // fires only once every victim is torn down. Host threads kill the
+  // victims and wake everyone while parks, re-parks and teardowns keep
+  // the sweeps running on 4 workers. A process leaves Parked only under
+  // the society mutex a sweep holds throughout, so no sweep can fire a
+  // set whose member is being killed or woken. The victims' long deadline
+  // never expires; it keeps run() from declaring quiescence before the
+  // killer reaches the last victim.
+  constexpr int kVictims = 24;
+  constexpr int kSurvivors = 4;
+  for (int round = 0; round < 5; ++round) {
+    Runtime rt(storm_opts());
+    rt.seed(tup("shared", 0));
+    ProcessDef victim;
+    victim.name = "Victim";
+    victim.body = seq({stmt(TxnBuilder(TxnType::Consensus)
+                                .match(pat({A("never")}))
+                                .timeout(60'000)
+                                .build())});
+    rt.define(std::move(victim));
+    ProcessDef survivor;
+    survivor.name = "Survivor";
+    survivor.params = {"k"};
+    survivor.body = seq({stmt(TxnBuilder(TxnType::Consensus)
+                                  .match(pat({A("shared"), W()}))
+                                  .assert_tuple({lit(Value::atom("arrived")),
+                                                 evar("k")})
+                                  .build())});
+    rt.define(std::move(survivor));
+    std::vector<ProcessId> victims;
+    std::vector<ProcessId> everyone;
+    for (int i = 0; i < kVictims; ++i) {
+      victims.push_back(rt.spawn("Victim"));
+      everyone.push_back(victims.back());
+    }
+    for (int k = 0; k < kSurvivors; ++k) {
+      everyone.push_back(rt.spawn("Survivor", {Value(k)}));
+    }
+
+    std::atomic<bool> killing{true};
+    std::thread killer([&] {
+      for (ProcessId pid : victims) {
+        std::this_thread::sleep_for(std::chrono::microseconds(150));
+        rt.scheduler().kill(pid);
+      }
+      killing.store(false);
+    });
+    std::vector<std::thread> wakers;
+    for (int w = 0; w < 2; ++w) {
+      wakers.emplace_back([&, w] {
+        while (killing.load()) {
+          for (std::size_t i = static_cast<std::size_t>(w); i < everyone.size();
+               i += 2) {
+            rt.scheduler().wake(everyone[i]);
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds(20));
+        }
+      });
+    }
+    const RunReport report = rt.run();
+    killer.join();
+    for (std::thread& t : wakers) t.join();
+
+    std::vector<std::string> expected;
+    for (ProcessId pid : victims) {
+      expected.push_back("Victim#" + std::to_string(pid) + " killed");
+    }
+    std::vector<std::string> killed = report.killed;
+    std::sort(expected.begin(), expected.end());
+    std::sort(killed.begin(), killed.end());
+    EXPECT_EQ(killed, expected) << "round " << round;
+    EXPECT_EQ(rt.scheduler().total_killed(),
+              static_cast<std::uint64_t>(kVictims))
+        << "round " << round;
+    EXPECT_EQ(rt.consensus().fires(), 1u) << "round " << round;
+    for (int k = 0; k < kSurvivors; ++k) {
+      EXPECT_EQ(rt.space().count(tup("arrived", k)), 1u)
+          << "round " << round << " survivor " << k;
+    }
+    EXPECT_EQ(report.still_parked, 0u) << "round " << round;
+    EXPECT_TRUE(report.timed_out.empty()) << "round " << round;
+    EXPECT_TRUE(report.errors.empty()) << "round " << round;
+    EXPECT_EQ(rt.scheduler().live_count(), 0u) << "round " << round;
+    EXPECT_EQ(rt.waits().subscriber_count(), 0u) << "round " << round;
+  }
 }
 
 TEST(KillStorm, KillWhileQuiescentDrainsBeforeNextRun) {

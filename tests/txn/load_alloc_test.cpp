@@ -112,6 +112,38 @@ TEST(LoadAllocTest, DurableSeedingOfWideTuplesCostsOneBlockPerTuple) {
   std::filesystem::remove_all(dir);
 }
 
+// A spawn costs two blocks: the society map node, which holds the Process
+// itself, and the environment. The frame stack is inline. The difference
+// of two batches cancels first-use costs; what stays besides the two
+// blocks per spawn is the ready queue's deque blocks (64 pids each, so
+// about 16 per 1,000 spawns, plus its block map) and a map rehash or two.
+TEST(LoadAllocTest, SpawnCostsTheMapNodeAndTheEnvironment) {
+  RuntimeOptions opts;
+  opts.scheduler.workers = 1;
+  Runtime rt(opts);
+  ProcessDef def;
+  def.name = "Cell";
+  def.params = {"k", "v"};
+  def.body = seq({stmt(TxnBuilder()
+                           .assert_tuple({lit(Value::atom("cell")), evar("k"),
+                                          evar("v")})
+                           .build())});
+  const ProcessDef& cell = rt.define(std::move(def));
+  auto spawn_allocs = [&](int count) {
+    std::vector<std::vector<Value>> args(static_cast<std::size_t>(count));
+    for (int i = 0; i < count; ++i) args[i] = {Value(i), Value(i % 7)};
+    const std::uint64_t before = alloc_count::t_allocs;
+    for (std::vector<Value>& a : args) rt.spawn(cell, std::move(a));
+    return alloc_count::t_allocs - before;
+  };
+  const std::uint64_t thousand = spawn_allocs(1000);
+  const std::uint64_t two_thousand = spawn_allocs(2000);
+  constexpr std::uint64_t kSlack = 40;
+  EXPECT_LE(two_thousand - thousand, 2u * 1000u + kSlack)
+      << "1,000 spawns: " << thousand << ", 2,000 spawns: " << two_thousand;
+  EXPECT_EQ(rt.scheduler().live_count(), 3000u);
+}
+
 using DurableWriteAllocTest = DurableAccountsTest;
 
 // A warm read-modify-write on the durable leader costs what its commit
