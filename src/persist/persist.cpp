@@ -16,6 +16,11 @@ PersistManager::PersistManager(PersistOptions opts, std::uint32_t shard_count)
   }
   fs::create_directories(opts_.dir);
   recovered_ = replay(opts_.dir);
+  if (recovered_.format_mismatch) {
+    throw std::invalid_argument(
+        "PersistManager: " + opts_.dir + " continues in a WAL format this "
+        "binary does not write; refusing to open it (no file changed)");
+  }
   if (recovered_.shard_count != 0 && recovered_.shard_count != shard_count_) {
     throw std::invalid_argument(
         "PersistManager: durable geometry shard_count " +
@@ -79,6 +84,29 @@ std::uint64_t PersistManager::log_commit(
   return seq;
 }
 
+std::uint64_t PersistManager::log_frame(std::uint64_t seq,
+                                        std::string_view frame) {
+  const std::uint64_t acked = wal_->append_frame(seq, frame);
+  if (acked != 0 && opts_.snapshot_every > 0) {
+    commits_since_snapshot_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return acked;
+}
+
+void PersistManager::install_snapshot(std::string_view file,
+                                      std::uint64_t barrier) {
+  std::scoped_lock lock(snapshot_mutex_);
+  if (!wal_->alive() ||
+      !write_snapshot_file(opts_.dir, barrier, file, faults_)) {
+    return;
+  }
+  // No exclusion needed for the rotation: until promotion the applier
+  // calling here is the follower's only WAL writer.
+  wal_->rotate(barrier + 1);
+  commits_since_snapshot_.store(0, std::memory_order_relaxed);
+  prune_below(barrier);
+}
+
 bool PersistManager::snapshot_due() const {
   return opts_.snapshot_every > 0 &&
          !snapshots_dead_.load(std::memory_order_relaxed) &&
@@ -134,11 +162,16 @@ bool PersistManager::snapshot_now(const Dataspace& space,
     return false;
   }
   snapshots_written_.fetch_add(1, std::memory_order_relaxed);
-  last_snapshot_barrier_.store(barrier, std::memory_order_release);
-
   // Only now that the new snapshot is durable: drop everything it
   // supersedes. A crash before this point recovers from the older
   // snapshot plus the full segment chain.
+  prune_below(barrier);
+  if (obs_m != nullptr) obs_m->snapshot_ns->record_since(t_snap0);
+  return true;
+}
+
+void PersistManager::prune_below(std::uint64_t barrier) {
+  last_snapshot_barrier_.store(barrier, std::memory_order_release);
   for (const auto& entry : fs::directory_iterator(opts_.dir)) {
     if (!entry.is_regular_file()) continue;
     const std::string name = entry.path().filename().string();
@@ -150,8 +183,6 @@ bool PersistManager::snapshot_now(const Dataspace& space,
         name != wal_segment_name(barrier + 1);
     if (old_snap || old_wal) ::unlink(entry.path().string().c_str());
   }
-  if (obs_m != nullptr) obs_m->snapshot_ns->record_since(t_snap0);
-  return true;
 }
 
 void PersistManager::sync() { wal_->sync(); }

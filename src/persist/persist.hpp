@@ -32,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -89,13 +90,21 @@ class PersistManager {
                            std::span<const TupleId> retracts,
                            std::span<const Record* const> asserts);
 
-  /// Replication (follower side): appends a leader-seq watermark marker
-  /// (WalCommit::repl_mark) covering everything re-logged so far. Does
-  /// NOT count toward the snapshot interval — markers are metadata, not
-  /// commits. Returns the local sequence, or 0 on a dead writer.
-  std::uint64_t log_repl_mark(std::uint64_t mark) {
-    return wal_->append_repl_mark(mark);
-  }
+  /// Replication (follower side): logs one shipped leader frame as it
+  /// is, under its own (the leader's) sequence number. MUST be called
+  /// with the apply's exclusion held. Counts toward the snapshot
+  /// interval like a local commit. Returns `seq`, or 0 when not
+  /// acknowledged.
+  std::uint64_t log_frame(std::uint64_t seq, std::string_view frame);
+
+  /// Replication (follower side): makes a leader snapshot file this
+  /// node's own snapshot at `barrier` — written durably as it arrived,
+  /// then the WAL restarts on a fresh segment at barrier + 1 and every
+  /// older file is pruned. The caller has already replaced the
+  /// dataspace with the snapshot's records. When the file does not
+  /// become durable the log stays where it was, and so refuses the next
+  /// frame (WalWriter::append_frame) rather than record a gap.
+  void install_snapshot(std::string_view file, std::uint64_t barrier);
 
   /// True when snapshot_every is configured and enough commits have been
   /// logged — the scheduler-side hook for calling maybe_snapshot without
@@ -157,6 +166,9 @@ class PersistManager {
 
  private:
   void clean_directory();
+  // Publishes `barrier` as the newest durable snapshot, then deletes
+  // every snapshot and segment it supersedes.
+  void prune_below(std::uint64_t barrier);
 
   const PersistOptions opts_;
   const std::uint32_t shard_count_;

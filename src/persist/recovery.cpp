@@ -105,6 +105,7 @@ RecoveredState replay(const std::string& dir) {
       state.notes.push_back(wal_segment_name(start) +
                             " format mismatch: " + seg.detail +
                             " — stopping (file preserved)");
+      if (start <= expected) state.format_mismatch = true;
       stopped = true;
       continue;
     }
@@ -149,28 +150,7 @@ RecoveredState replay(const std::string& dir) {
   }
   state.last_seq = expected - 1;
 
-  // Replication watermark: newest marker value, plus one leader sequence
-  // per re-logged commit that survived after it (see repl_applied_seq).
-  // No marker at all means no provable coverage — report 0 and let the
-  // leader re-seed/resend; the apply path is redelivery-idempotent.
-  {
-    bool any_mark = false;
-    std::uint64_t last_mark = 0;
-    std::uint64_t commits_after_mark = 0;
-    for (const WalCommit& c : state.commits) {
-      if (c.repl_mark != 0) {
-        any_mark = true;
-        last_mark = c.repl_mark;
-        commits_after_mark = 0;
-      } else if (any_mark) {
-        ++commits_after_mark;
-      }
-    }
-    state.repl_applied_seq = any_mark ? last_mark + commits_after_mark : 0;
-  }
-
-  // 3. Apply the surviving commits over the snapshot. Replication
-  // watermark markers carry no effects and no-op here by construction.
+  // 3. Apply the surviving commits over the snapshot.
   for (const WalCommit& c : state.commits) {
     for (const TupleId id : c.retracts) live.erase(id.bits());
     for (const auto& [id, tuple] : c.asserts) live.emplace(id.bits(), tuple);
@@ -203,9 +183,6 @@ CheckReport verify_recovery(const RecoveredState& state) {
   std::vector<HistoryEntry> entries;
   entries.reserve(state.commits.size());
   for (const WalCommit& c : state.commits) {
-    // Watermark markers are metadata, not commits: no reads, no effects —
-    // nothing for the serializability checker to validate.
-    if (c.repl_mark != 0) continue;
     HistoryEntry e;
     e.seq = c.seq;
     e.owner = c.owner;

@@ -51,17 +51,17 @@ struct RecoveredState {
   /// over the snapshot.
   std::vector<std::pair<TupleId, Tuple>> live;
   /// Last committed sequence recovered (== snapshot_barrier when the WAL
-  /// suffix is empty); the reopened WAL continues at last_seq + 1.
+  /// suffix is empty); the reopened WAL continues at last_seq + 1. A
+  /// follower logs its leader's frames under the leader's sequence
+  /// numbers, so on a follower this is also the applied watermark it
+  /// resumes the stream from.
   std::uint64_t last_seq = 0;
-  /// Replication: the leader-seq watermark this directory's state covers,
-  /// restored from the newest durable repl_mark record plus one per
-  /// re-logged commit after it (re-logs are 1:1 with leader sequences, so
-  /// a marker torn off the tail still yields the exact watermark; the
-  /// multi-sequence snapshot-reset frame only ever UNDERestimates, which
-  /// the leader answers with an idempotent snapshot re-seed). 0 when the
-  /// directory holds no marker — a fresh follower, or a node that was
-  /// never one.
-  std::uint64_t repl_applied_seq = 0;
+  /// True when the chain stops at a segment in a format this binary does
+  /// not write, right where the log would continue: a v1 segment, or an
+  /// older follower's log holding retired watermark frames. Appending
+  /// would fork its sequence space, so PersistManager refuses to open
+  /// such a directory and changes no file in it.
+  bool format_mismatch = false;
   /// Bytes of torn/corrupt WAL tail that were dropped.
   std::uint64_t dropped_bytes = 0;
   /// Human-readable log of recovery decisions (which snapshot, which

@@ -55,7 +55,11 @@ bool write_snapshot(const std::string& dir, std::uint32_t shard_count,
   std::string file(kSnapMagic, sizeof kSnapMagic);
   codec::put_u32(file, codec::crc32(payload.data(), payload.size()));
   file += payload;
+  return write_snapshot_file(dir, barrier_seq, file, faults);
+}
 
+bool write_snapshot_file(const std::string& dir, std::uint64_t barrier_seq,
+                         std::string_view file, FaultInjector* faults) {
   const std::string final_path = dir + "/" + snapshot_file_name(barrier_seq);
   const std::string tmp_path = final_path + ".tmp";
   const int fd = ::open(tmp_path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);

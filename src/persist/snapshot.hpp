@@ -52,6 +52,13 @@ bool write_snapshot(const std::string& dir, std::uint32_t shard_count,
                     const std::vector<std::pair<TupleId, Tuple>>& records,
                     FaultInjector* faults);
 
+/// The durable half of write_snapshot: puts already-encoded snapshot
+/// file bytes at dir/snap-<barrier>.snap through the same protocol and
+/// SnapshotWrite fault point. A follower installs its leader's snapshot
+/// file through it as it arrived.
+bool write_snapshot_file(const std::string& dir, std::uint64_t barrier_seq,
+                         std::string_view file, FaultInjector* faults);
+
 /// Reads and validates one snapshot file. Never throws on bad content;
 /// throws std::runtime_error only if the file exists but cannot be read.
 SnapshotReadResult read_snapshot(const std::string& path);

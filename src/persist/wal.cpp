@@ -26,11 +26,11 @@ constexpr char kWalMagicV1[8] = {'S', 'D', 'L', 'W', 'A', 'L', '1', '\n'};
 constexpr std::size_t kHeaderSize = kWalHeaderSize;  // magic, payload, crc
 constexpr std::size_t kHeaderPayload = 24;  // version, shards, seq, origin
 constexpr std::uint8_t kRecordCommit = 1;
-// Follower-only watermark record (WalCommit::repl_mark). Additive within
-// the v2 format: leader segments never contain it, so cross-node shipped
-// logs stay decodable by any v2 reader; only a follower's OWN directory
-// carries these, and the binary that wrote them reads them back.
-constexpr std::uint8_t kRecordReplMark = 2;
+// Retired: the watermark marker older followers logged after each
+// re-encoded batch, under their own sequence numbers. A follower now logs
+// the leader's frames as they are, so this binary writes no kind-2 frame
+// and refuses a log that holds one (WalFrameStatus::Retired).
+constexpr std::uint8_t kRecordRetiredWatermark = 2;
 // A frame length beyond this is corruption, not a huge commit: even a
 // consensus composite over thousands of tuples stays far below it.
 constexpr std::uint32_t kMaxRecordLen = 1u << 30;
@@ -54,13 +54,7 @@ std::string header_bytes(std::uint32_t shard_count, std::uint64_t start_seq,
 
 bool decode_commit(std::string_view payload, WalCommit* out) {
   codec::Reader r(payload);
-  const std::uint8_t kind = r.get_u8();
-  if (kind == kRecordReplMark) {
-    out->seq = r.get_varint();
-    out->repl_mark = r.get_varint();
-    return r.ok() && r.at_end() && out->repl_mark != 0;
-  }
-  if (kind != kRecordCommit) return false;
+  if (r.get_u8() != kRecordCommit) return false;
   out->seq = r.get_varint();
   out->owner = static_cast<ProcessId>(r.get_varint());
   out->fire = r.get_varint();
@@ -89,8 +83,7 @@ bool decode_commit(std::string_view payload, WalCommit* out) {
 /// The record kind and seq alone: the CRC already vouched for the rest.
 bool decode_seq(std::string_view payload, std::uint64_t* seq) {
   codec::Reader r(payload);
-  const std::uint8_t kind = r.get_u8();
-  if (kind != kRecordCommit && kind != kRecordReplMark) return false;
+  if (r.get_u8() != kRecordCommit) return false;
   *seq = r.get_varint();
   return r.ok();
 }
@@ -148,6 +141,13 @@ WalFrameParse parse_wal_frame(std::string_view data, WalFrameDecode decode) {
   if (codec::crc32(payload.data(), payload.size()) != crc) {
     out.status = WalFrameStatus::Corrupt;
     out.detail = "record crc mismatch";
+    return out;
+  }
+  if (static_cast<std::uint8_t>(payload[0]) == kRecordRetiredWatermark) {
+    out.status = WalFrameStatus::Retired;
+    out.detail = "retired record kind " +
+                 std::to_string(kRecordRetiredWatermark) +
+                 " (an older follower's watermark marker)";
     return out;
   }
   const bool decoded = decode == WalFrameDecode::Full
@@ -227,6 +227,15 @@ WalReadResult read_wal_segment(const std::string& path) {
   while (off < data.size()) {
     WalFrameParse frame = parse_wal_frame(std::string_view(data).substr(off));
     if (frame.status == WalFrameStatus::End) break;
+    if (frame.status == WalFrameStatus::Retired) {
+      // Intact bytes in a layout this binary no longer writes: refuse the
+      // whole segment as another format, never truncate it as damage.
+      result.format_mismatch = true;
+      result.commits.clear();
+      result.offsets.clear();
+      result.detail = frame.detail + " at offset " + std::to_string(off);
+      break;
+    }
     if (frame.status != WalFrameStatus::Ok) {
       // A torn frame in a file at rest is a crash cut; corrupt is damage.
       // Either way the clean prefix ends here.
@@ -404,26 +413,15 @@ bool WalWriter::write_at(int fd, const char* data, std::size_t size,
   return true;
 }
 
-std::uint64_t WalWriter::append(ProcessId owner, std::uint64_t fire,
-                                std::span<const TupleId> retracts,
-                                std::span<const Record* const> asserts) {
-  // Committer-side append latency: mutex wait + encode + write (and, for
-  // fsync_every == 1, the inline durable sync). Recorded only for
-  // acknowledged appends — the dead/killed paths are not the hot path.
-  obs::RuntimeMetrics* const obs_m =
-      (metrics_ != nullptr && obs::enabled()) ? metrics_ : nullptr;
-  const std::uint64_t t_append0 = obs_m != nullptr ? obs::now_ns() : 0;
-  std::unique_lock lock(mutex_);
-  if (dead_) return 0;
-
+bool WalWriter::admit_locked(std::unique_lock<std::mutex>& lock) {
+  if (dead_) return false;
   // Group-commit backpressure: past the byte cap the parked batch is
   // memory growing at commit speed while draining at device speed — block
   // this committer until the flusher catches up instead of queueing
-  // without bound. Checked BEFORE the frame is encoded into the shared
-  // scratch buffer: the wait releases mutex_, and another committer
-  // entering append() meanwhile would clobber the scratch. The flusher
-  // claims (clears) the batch under the mutex and signals done_cv_ after
-  // its flush, so the predicate drains promptly.
+  // without bound. Checked BEFORE the frame goes into the batch: the wait
+  // releases mutex_, and the flusher may claim the batch meanwhile. The
+  // flusher claims (swaps out) the batch under the mutex and signals
+  // done_cv_ after its flush, so the predicate drains promptly.
   if (overload_ != nullptr && fsync_every_ > 1) {
     const std::size_t cap = overload_->options().wal_max_batch_bytes;
     if (cap != 0 && batch_.size() >= cap) {
@@ -438,58 +436,94 @@ std::uint64_t WalWriter::append(ProcessId owner, std::uint64_t fire,
         cv_.notify_one();
         done_cv_.wait(lock);
       }
-      if (dead_) return 0;
     }
   }
+  return !dead_;
+}
 
-  // Encode straight into the reused scratch buffer (its capacity sticks
-  // across appends — the encode path is on every commit's critical
-  // section, so allocations here are commit latency). The payload starts
-  // at byte 8; the frame header is patched in once the length is known.
-  std::string& frame = frame_scratch_;
-  frame.clear();
-  frame.append(8, '\0');
-  {
-    codec::put_u8(frame, kRecordCommit);
-    codec::put_varint(frame, next_seq_);
-    codec::put_varint(frame, owner);
-    codec::put_varint(frame, fire);
-    codec::put_varint(frame, retracts.size());
-    for (const TupleId id : retracts) codec::put_u64(frame, id.bits());
-    codec::put_varint(frame, asserts.size());
-    for (const Record* rec : asserts) {
-      codec::put_u64(frame, rec->id.bits());
-      codec::put_tuple(frame, rec->tuple);
-    }
+std::uint64_t WalWriter::append(ProcessId owner, std::uint64_t fire,
+                                std::span<const TupleId> retracts,
+                                std::span<const Record* const> asserts) {
+  // Committer-side append latency: mutex wait + encode + write (and, for
+  // fsync_every == 1, the inline durable sync). Recorded only for
+  // acknowledged appends — the dead/killed paths are not the hot path.
+  obs::RuntimeMetrics* const obs_m =
+      (metrics_ != nullptr && obs::enabled()) ? metrics_ : nullptr;
+  const std::uint64_t t_append0 = obs_m != nullptr ? obs::now_ns() : 0;
+  std::unique_lock lock(mutex_);
+  if (!admit_locked(lock)) return 0;
+
+  // Encode straight onto the end of the batch (its capacity sticks across
+  // flushes — the encode path is on every commit's critical section, so
+  // allocations here are commit latency). The payload starts 8 bytes in;
+  // the frame header is patched in once the length is known.
+  const std::size_t start = batch_.size();
+  batch_.append(8, '\0');
+  codec::put_u8(batch_, kRecordCommit);
+  codec::put_varint(batch_, next_seq_);
+  codec::put_varint(batch_, owner);
+  codec::put_varint(batch_, fire);
+  codec::put_varint(batch_, retracts.size());
+  for (const TupleId id : retracts) codec::put_u64(batch_, id.bits());
+  codec::put_varint(batch_, asserts.size());
+  for (const Record* rec : asserts) {
+    codec::put_u64(batch_, rec->id.bits());
+    codec::put_tuple(batch_, rec->tuple);
   }
-  const std::size_t payload_len = frame.size() - 8;
+  const std::size_t payload_len = batch_.size() - start - 8;
   std::string header;
   codec::put_u32(header, static_cast<std::uint32_t>(payload_len));
-  codec::put_u32(header, codec::crc32(frame.data() + 8, payload_len));
-  frame.replace(0, 8, header);
+  codec::put_u32(header, codec::crc32(batch_.data() + start + 8, payload_len));
+  batch_.replace(start, 8, header);
 
+  const std::uint64_t acked = park_locked(lock);
+  if (acked != 0 && obs_m != nullptr) {
+    obs_m->wal_append_ns->record_since(t_append0);
+  }
+  return acked;
+}
+
+std::uint64_t WalWriter::append_frame(std::uint64_t seq,
+                                      std::string_view frame) {
+  std::unique_lock lock(mutex_);
+  if (!admit_locked(lock)) return 0;
+  if (seq != next_seq_) {
+    // The caller's sequence space and this log's have parted (a snapshot
+    // install that never became durable): appending would leave a gap
+    // recovery stops at. Freeze the log at its clean prefix instead, as a
+    // crashed disk would.
+    dead_ = true;
+    done_cv_.notify_all();
+    return 0;
+  }
+  batch_.append(frame);
+  return park_locked(lock);
+}
+
+std::uint64_t WalWriter::park_locked(std::unique_lock<std::mutex>& lock) {
   if (faults_ != nullptr) {
     switch (faults_->decide(FaultPoint::WalAppend)) {
       case FaultAction::Delay:
         faults_->delay();
         break;
       case FaultAction::Kill: {
-        // Simulated crash mid-write: the parked group-commit batch plus a
-        // deterministic prefix of the new frame is what "reached disk".
-        // The commit is NOT acknowledged; recovery must drop the torn
-        // record. Batched-but-unsynced acks die with the process — the
-        // documented fsync_every > 1 window. Wait out any in-flight flush
-        // first so the torn bytes land at a well-defined file position.
+        // Simulated crash mid-write: the parked group-commit batch, whose
+        // tail is the new frame, is what was headed for disk; a
+        // deterministic prefix of it "reached" it. The frame is NOT
+        // acknowledged; recovery must drop the torn record. Batched-but-
+        // unsynced acks die with the process — the documented
+        // fsync_every > 1 window. Dead first, so neither a committer nor
+        // the flusher touches the batch while an in-flight flush is
+        // waited out (the torn bytes land after it, at a well-defined
+        // file position).
+        dead_ = true;
         done_cv_.wait(lock, [&] { return !flush_inflight_; });
-        std::string pending = std::move(batch_);
-        batch_.clear();
-        pending += frame;
         const std::uint64_t torn =
-            faults_->jitter_us(static_cast<std::uint64_t>(pending.size() - 1));
-        write_at(fd_, pending.data(), static_cast<std::size_t>(torn),
+            faults_->jitter_us(static_cast<std::uint64_t>(batch_.size() - 1));
+        write_at(fd_, batch_.data(), static_cast<std::size_t>(torn),
                  file_off_);
         if (fd_ >= 0) ::fsync(fd_);
-        dead_ = true;
+        batch_.clear();
         // Committers blocked on the batch cap key off dead_ too.
         done_cv_.notify_all();
         return 0;
@@ -500,19 +534,20 @@ std::uint64_t WalWriter::append(ProcessId owner, std::uint64_t fire,
   }
 
   // Group commit: for fsync_every > 1 the committer does NO syscall — the
-  // frame parks in user space and the background flusher drains the batch
-  // with one pwrite+fdatasync pair (a committer-side write would block on
-  // the inode lock behind the in-flight fsync). fsync_every <= 1 writes
-  // through immediately (1 also syncs inline: strict durable-before-ack).
-  if (fsync_every_ > 1) {
-    batch_ += frame;
-  } else {
-    ensure_capacity_locked(frame.size());
-    if (!write_at(fd_, frame.data(), frame.size(), file_off_)) {
+  // frame stays parked in user space and the background flusher drains
+  // the batch with one pwrite+fdatasync pair (a committer-side write would
+  // block on the inode lock behind the in-flight fsync). fsync_every <= 1
+  // writes through immediately (1 also syncs inline: strict
+  // durable-before-ack), so there the batch holds just this frame.
+  if (fsync_every_ <= 1) {
+    ensure_capacity_locked(batch_.size());
+    const bool wrote = write_at(fd_, batch_.data(), batch_.size(), file_off_);
+    file_off_ += wrote ? batch_.size() : 0;
+    batch_.clear();
+    if (!wrote) {
       dead_ = true;
       return 0;
     }
-    file_off_ += frame.size();
   }
   last_appended_ = next_seq_++;
   ++appended_;
@@ -531,58 +566,9 @@ std::uint64_t WalWriter::append(ProcessId owner, std::uint64_t fire,
   }
   const std::uint64_t acked = last_appended_;
   lock.unlock();
-  if (obs_m != nullptr) obs_m->wal_append_ns->record_since(t_append0);
   // Notify after unlock: waking the flusher while holding the mutex would
   // bounce it straight back to sleep (and on one core, preempt the
   // committer mid-critical-section).
-  if (notify) cv_.notify_one();
-  return acked;
-}
-
-std::uint64_t WalWriter::append_repl_mark(std::uint64_t mark) {
-  std::unique_lock lock(mutex_);
-  if (dead_ || mark == 0) return 0;
-  // Tiny metadata frame: skips the group-commit byte cap (a ~20-byte
-  // record cannot meaningfully grow the batch) and the WalAppend fault
-  // point (which targets commit appends). Ships through the same batch /
-  // write-through path so its durability order matches the data's.
-  std::string& frame = frame_scratch_;
-  frame.clear();
-  frame.append(8, '\0');
-  codec::put_u8(frame, kRecordReplMark);
-  codec::put_varint(frame, next_seq_);
-  codec::put_varint(frame, mark);
-  const std::size_t payload_len = frame.size() - 8;
-  std::string header;
-  codec::put_u32(header, static_cast<std::uint32_t>(payload_len));
-  codec::put_u32(header, codec::crc32(frame.data() + 8, payload_len));
-  frame.replace(0, 8, header);
-
-  if (fsync_every_ > 1) {
-    batch_ += frame;
-  } else {
-    ensure_capacity_locked(frame.size());
-    if (!write_at(fd_, frame.data(), frame.size(), file_off_)) {
-      dead_ = true;
-      return 0;
-    }
-    file_off_ += frame.size();
-  }
-  last_appended_ = next_seq_++;
-  ++appended_;
-  ++unsynced_;
-  bool notify = false;
-  if (fsync_every_ == 1) {
-    sync_locked(lock);
-  } else if (fsync_every_ > 1 && unsynced_ >= fsync_every_) {
-    unsynced_ = 0;
-    flush_requested_ = true;
-    notify = true;
-  } else if (fsync_every_ == 0 && durable_listener_) {
-    durable_listener_(last_appended_);
-  }
-  const std::uint64_t acked = last_appended_;
-  lock.unlock();
   if (notify) cv_.notify_one();
   return acked;
 }
@@ -621,7 +607,7 @@ void WalWriter::sync() {
   sync_locked(lock);
 }
 
-std::uint64_t WalWriter::rotate() {
+std::uint64_t WalWriter::rotate(std::uint64_t next_seq) {
   std::unique_lock lock(mutex_);
   const std::uint64_t barrier = last_appended_;
   if (dead_) return barrier;
@@ -635,7 +621,14 @@ std::uint64_t WalWriter::rotate() {
   }
   ::close(fd_);
   fd_ = -1;
-  open_segment(barrier + 1);
+  if (next_seq > next_seq_) {
+    // Everything below next_seq is durable elsewhere (an installed
+    // snapshot), so the watermarks move with the sequence.
+    next_seq_ = next_seq;
+    last_appended_ = next_seq - 1;
+    last_synced_ = next_seq - 1;
+  }
+  open_segment(next_seq_);
   return barrier;
 }
 

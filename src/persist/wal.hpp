@@ -53,6 +53,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -70,22 +71,13 @@ namespace sdl::persist {
 
 /// One committed transaction as the WAL stores it. `fire` groups the
 /// members of a consensus composite into one atomic record (0 = an
-/// independent commit, matching HistoryEntry::consensus_fire).
-///
-/// `repl_mark` != 0 marks a REPLICATION WATERMARK record instead of a
-/// commit: a follower appends one right after re-logging an applied
-/// batch, carrying the leader sequence that batch reached. It has no
-/// effect set (replay no-ops it) but consumes a local sequence number
-/// like any frame, and because it is appended after the batch in the
-/// same group-commit stream it is durable exactly when the data it
-/// covers is — recovery restores the follower's leader-seq watermark
-/// from it (RecoveredState::repl_applied_seq) so a restarted follower
-/// resumes the stream where it left off instead of from zero.
+/// independent commit, matching HistoryEntry::consensus_fire). A
+/// follower's log holds its leader's records byte for byte, so `seq` is
+/// the leader's sequence number on both nodes.
 struct WalCommit {
   std::uint64_t seq = 0;
   ProcessId owner = 0;
   std::uint64_t fire = 0;
-  std::uint64_t repl_mark = 0;  // leader-seq watermark; 0 = normal commit
   std::vector<TupleId> retracts;
   std::vector<std::pair<TupleId, Tuple>> asserts;
 };
@@ -93,9 +85,11 @@ struct WalCommit {
 /// Parse of one segment file. `corrupt` marks a torn or damaged tail;
 /// `valid_bytes` is the length of the clean prefix (the truncation point
 /// under the truncate-at-first-corrupt policy). `format_mismatch` is a
-/// DISTINCT rejection: the header is intact but stamps a format version
-/// this binary does not speak (e.g. a v1 segment, or one shipped from a
-/// newer node) — the file must be left untouched, never truncated.
+/// DISTINCT rejection: the bytes are intact but in a layout this binary
+/// does not read — a header stamping another format version (a v1
+/// segment, or one shipped from a newer node), or a CRC-clean frame of a
+/// retired record kind (an older follower's watermark marker) — so the
+/// file must be left untouched, never truncated, and yields no commits.
 /// Commits are in file order; `offsets[i]` is the byte offset of commit
 /// i's frame.
 struct WalReadResult {
@@ -140,6 +134,8 @@ enum class WalFrameStatus {
   Torn,     // partial frame: more bytes may still arrive (live tail) or
             // the write was cut (crash) — caller context decides
   Corrupt,  // crc mismatch or undecodable payload: never recoverable
+  Retired,  // crc-clean frame of a record kind this binary no longer
+            // reads: another format's intact data, not damage
 };
 struct WalFrameParse {
   WalFrameStatus status = WalFrameStatus::End;
@@ -181,22 +177,25 @@ class WalWriter {
                        std::span<const TupleId> retracts,
                        std::span<const Record* const> asserts);
 
-  /// Appends a replication watermark record (WalCommit::repl_mark): the
-  /// follower's durable "applied through leader seq `mark`" stamp. Same
-  /// batching/sync discipline as append(); returns the assigned local
-  /// sequence, or 0 when the writer is dead. Call it right after the
-  /// batch's re-logged commits, before any other append can interleave
-  /// (the follower applier is single-threaded, so this holds trivially).
-  std::uint64_t append_repl_mark(std::uint64_t mark);
+  /// Appends one frame exactly as another node's WAL holds it — a
+  /// follower logging a shipped leader frame, whose CRC and contiguity
+  /// the caller already checked. `seq` is the frame's sequence and must
+  /// be the next one this log assigns; a mismatch kills the writer
+  /// instead of logging a gap. Same backpressure, fault point, batching
+  /// and sync policy as append(). Returns `seq`, or 0 when not
+  /// acknowledged.
+  std::uint64_t append_frame(std::uint64_t seq, std::string_view frame);
 
   /// Forces an fsync of any unsynced appends (snapshot barrier, teardown).
   void sync();
 
   /// Snapshot rotation: fsyncs and closes the current segment and opens a
-  /// fresh one for last_appended()+1. MUST be called under total exclusion
+  /// fresh one for last_appended()+1 — or for `next_seq` when that is
+  /// later (a follower installing a leader snapshot restarts its log at
+  /// the snapshot's barrier + 1). MUST be called under total exclusion
   /// (no append concurrently). Returns the barrier — the last sequence of
   /// the closed segment; every record <= barrier lives in older segments.
-  std::uint64_t rotate();
+  std::uint64_t rotate(std::uint64_t next_seq = 0);
 
   /// False once a WalAppend kill fired (simulated crash) or an I/O error
   /// was seen: all subsequent appends are dropped and unacknowledged.
@@ -242,6 +241,12 @@ class WalWriter {
 
  private:
   void open_segment(std::uint64_t start_seq);  // caller holds mutex_
+  // Waits out the group-commit byte cap; false when the writer is dead.
+  bool admit_locked(std::unique_lock<std::mutex>& lock);
+  // The one append tail: takes the frame parked at the end of batch_
+  // through the WalAppend fault point, write-through or group commit and
+  // the sync policy, then unlocks. Returns the frame's seq, or 0.
+  std::uint64_t park_locked(std::unique_lock<std::mutex>& lock);
   void sync_locked(std::unique_lock<std::mutex>& lock);
   // Grows the preallocated region so the next `need` bytes at file_off_
   // are non-extending writes. Caller holds mutex_ with no flush in flight.
@@ -278,7 +283,6 @@ class WalWriter {
   std::uint64_t unsynced_ = 0;  // appends since the last flush handoff
   std::string batch_;  // group-commit frames parked until the next flush
   std::string flush_buffer_;  // the batch the flusher is writing (its own)
-  std::string frame_scratch_;  // reused per-append encode buffer
   std::uint64_t syncs_ = 0;
   std::function<void(std::uint64_t)> durable_listener_;  // repl wakeup
 };

@@ -63,12 +63,10 @@ Runtime::Runtime(RuntimeOptions options)
           std::make_unique<repl::ReplLeader>(options_.repl, persist_mgr_.get());
     } else {
       // The follower's id index starts with whatever its own recovery
-      // restored (WAL retracts carry only ids), and the leader-seq
-      // watermark with what the re-logged repl_mark records prove
-      // durable — the reattach Hello resumes the stream there.
+      // restored (WAL retracts carry only ids), and its watermark with
+      // the last seq that recovery restored.
       repl_follower_ = std::make_unique<repl::ReplFollower>(
-          options_.repl, engine_.get(), persist_mgr_.get(),
-          persist_mgr_ ? persist_mgr_->recovered().repl_applied_seq : 0);
+          options_.repl, engine_.get(), persist_mgr_.get());
       if (options_.repl.connect_port != 0) {
         auto t = repl::net_connect(options_.repl.connect_port,
                                    options_.repl.poll_interval_ms);
@@ -180,7 +178,7 @@ void Runtime::register_repl_gauges() {
   }
   if (repl_follower_) {
     repl::ReplFollower* const f = repl_follower_.get();
-    metrics_registry_.gauge("sdl_repl_applied_seq",
+    metrics_registry_.gauge("sdl_repl_follower_applied_seq",
                             [f] { return f->applied_seq(); });
     metrics_registry_.gauge("sdl_repl_batches_applied_total",
                             [f] { return f->stats().batches_applied; });

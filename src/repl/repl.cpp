@@ -457,9 +457,8 @@ void ReplLeader::session_main(Session* s) {
 
 // -------------------------------------------------------------- follower
 
-ReplFollower::ReplFollower(
-    ReplOptions opts, Engine* engine, persist::PersistManager* persist,
-    std::uint64_t recovered_applied_seq)
+ReplFollower::ReplFollower(ReplOptions opts, Engine* engine,
+                           persist::PersistManager* persist)
     : opts_(std::move(opts)), engine_(engine), persist_(persist) {
   const Dataspace& space = engine_->space();
   id_index_.reserve(space.size());
@@ -467,11 +466,12 @@ ReplFollower::ReplFollower(
     id_index_.emplace(r.id, &r);
     return true;
   });
-  // Restart continuity: the Hello resumes the stream at the watermark the
-  // re-logged WAL's repl_mark records prove durable. At most it
-  // UNDERestimates (torn marker tail) — the redelivered suffix is
-  // absorbed idempotently (Engine::apply_replicated).
-  applied_seq_.store(recovered_applied_seq, std::memory_order_release);
+  // Restart continuity: the local log holds the leader's frames under the
+  // leader's sequence numbers, so the last one recovery restored is
+  // exactly the watermark the reattach Hello resumes from.
+  if (persist_ != nullptr) {
+    applied_seq_.store(persist_->stats().last_seq, std::memory_order_release);
+  }
 }
 
 ReplFollower::~ReplFollower() { detach(); }
@@ -524,7 +524,6 @@ ReplFollowerStats ReplFollower::stats() const {
   out.reconnects = attaches > 0 ? attaches - 1 : 0;
   out.promotions = promotions_.load(std::memory_order_relaxed);
   out.missing_retracts = missing_retracts_.load(std::memory_order_relaxed);
-  out.redundant_asserts = redundant_asserts_.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -610,31 +609,29 @@ bool ReplFollower::apply_snapshot(const std::string& file_bytes) {
     batches_rejected_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  // A snapshot REPLACES the local state: one synthetic commit retracting
-  // every resident instance and asserting the snapshot's records reuses
-  // the exact apply path (exclusion, publish, re-log to the local WAL) —
-  // the follower's own log then carries the seed and stays recoverable.
-  persist::WalCommit reset;
-  // The reset's seq is the leader watermark the snapshot covers — the
-  // engine stamps it into the trailing repl_mark record.
-  reset.seq = snap.barrier_seq;
-  reset.retracts.reserve(id_index_.size());
-  for (const auto& [id, rec] : id_index_) reset.retracts.push_back(id);
-  reset.asserts = std::move(snap.records);
-  std::vector<persist::WalCommit> batch;
-  batch.push_back(std::move(reset));
+  // A snapshot REPLACES the local state: one reset frame retracting every
+  // resident instance and asserting the snapshot's records reuses the
+  // exact apply path (exclusion, publish). It carries no bytes, so it is
+  // not logged: the snapshot file itself becomes this node's snapshot at
+  // the barrier, and its log restarts at barrier + 1.
+  Engine::ReplFrame reset;
+  reset.commit.seq = snap.barrier_seq;
+  reset.commit.retracts.reserve(id_index_.size());
+  for (const auto& [id, rec] : id_index_) reset.commit.retracts.push_back(id);
+  reset.commit.asserts = std::move(snap.records);
   const Engine::ReplApplyOutcome out =
-      engine_->apply_replicated(batch, &id_index_);
+      engine_->apply_replicated({&reset, 1}, &id_index_);
   missing_retracts_.fetch_add(out.missing_retracts,
                               std::memory_order_relaxed);
-  redundant_asserts_.fetch_add(out.redundant_asserts,
-                               std::memory_order_relaxed);
   applied_commits_.fetch_add(out.applied_commits, std::memory_order_relaxed);
   if (!out.ok) {
-    // The reset commit failed mid-apply: reject the session with the
-    // watermark untouched; the reconnect handshake re-seeds from scratch.
+    // The reset failed mid-apply: reject the session with the watermark
+    // untouched; the reconnect handshake re-seeds from scratch.
     batches_rejected_.fetch_add(1, std::memory_order_relaxed);
     return false;
+  }
+  if (persist_ != nullptr) {
+    persist_->install_snapshot(file_bytes, snap.barrier_seq);
   }
   applied_seq_.store(snap.barrier_seq, std::memory_order_release);
   snapshots_loaded_.fetch_add(1, std::memory_order_relaxed);
@@ -653,12 +650,13 @@ bool ReplFollower::apply_batch(std::uint64_t first_seq,
     batches_rejected_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  std::vector<persist::WalCommit> batch;
+  std::vector<Engine::ReplFrame> batch;
   std::size_t off = 0;
   std::uint64_t expect = applied + 1;
   std::uint64_t bytes = 0;
   while (off < frames.size()) {
-    persist::WalFrameParse p = persist::parse_wal_frame(std::string_view(frames).substr(off));
+    const std::string_view rest = std::string_view(frames).substr(off);
+    persist::WalFrameParse p = persist::parse_wal_frame(rest);
     if (p.status == persist::WalFrameStatus::End) break;
     if (p.status != persist::WalFrameStatus::Ok) {
       batches_rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -672,22 +670,20 @@ bool ReplFollower::apply_batch(std::uint64_t first_seq,
     }
     ++expect;
     bytes += p.size;
-    batch.push_back(std::move(p.commit));
+    batch.push_back({rest.substr(0, p.size), std::move(p.commit)});
   }
   if (batch.empty()) return true;
   const Engine::ReplApplyOutcome out =
       engine_->apply_replicated(batch, &id_index_);
   missing_retracts_.fetch_add(out.missing_retracts,
                               std::memory_order_relaxed);
-  redundant_asserts_.fetch_add(out.redundant_asserts,
-                               std::memory_order_relaxed);
   applied_commits_.fetch_add(out.applied_commits, std::memory_order_relaxed);
   if (!out.ok) {
-    // A commit threw mid-batch: everything before it applied and
-    // re-logged. Advance the watermark to that prefix, reject the
-    // session; the reconnect handshake resumes exactly there.
+    // A commit threw mid-batch: everything before it applied and logged.
+    // Advance the watermark to that prefix, reject the session; the
+    // reconnect handshake resumes exactly there.
     if (out.applied_commits > 0) {
-      applied_seq_.store(batch[out.applied_commits - 1].seq,
+      applied_seq_.store(batch[out.applied_commits - 1].commit.seq,
                          std::memory_order_release);
     }
     batches_rejected_.fetch_add(1, std::memory_order_relaxed);

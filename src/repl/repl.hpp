@@ -1,9 +1,9 @@
-// Leader/follower replication (tentpole of this PR).
+// Leader/follower replication.
 //
-// ROADMAP item 3 ("go distributed") starts here: the WAL is already a
-// total serialization witness of every effectful commit (wal.hpp), so
-// replication is log shipping — no second consensus protocol, no
-// per-transaction coordination:
+// The WAL is already a total serialization witness of every effectful
+// commit (wal.hpp), so replication is log shipping — no second consensus
+// protocol, no per-transaction coordination — and leader and follower
+// share one sequence space:
 //
 //   * The LEADER tails its own live WAL segment files and streams raw
 //     frames to each follower session. The group-commit flusher's durable
@@ -11,31 +11,30 @@
 //     the tailer never ships past shippable_seq() — a record reaches a
 //     follower once durable on the leader, never before, so a follower
 //     can never apply a commit the leader could lose in a crash.
-//   * Each FOLLOWER applies batches onto its own Runtime under total
-//     exclusion (Engine::apply_replicated), preserving restart-stable
-//     TupleIds, and re-logs every commit to its own WAL — a follower is
-//     an independently recoverable replica, not a cache. A repl_mark
-//     watermark record trails every re-logged batch in the same stream,
-//     so the leader-seq watermark is durable exactly with the data and a
-//     RESTARTED follower resumes the stream from where its recovery left
-//     off (RecoveredState::repl_applied_seq) instead of from zero; the
-//     apply path is redelivery-idempotent besides, so an underestimated
-//     watermark (torn marker) costs a resend, never a crash or
-//     divergence. Local parked readers wake on the applied keys, and the
-//     lock-free optimistic read path (ISSUE 6) serves eventually-
-//     consistent reads with the applied-seq watermark exposed for
-//     staleness checks.
+//   * Each FOLLOWER checks every batch for contiguity (the CRCs were
+//     checked by the frame parse), applies it onto its own Runtime under
+//     total exclusion (Engine::apply_replicated), preserving
+//     restart-stable TupleIds, and appends each frame's bytes unchanged
+//     to its own WAL — a follower is an independently recoverable
+//     replica, not a cache, and its log holds the leader's frames under
+//     the leader's sequence numbers. Its applied watermark is therefore
+//     its last logged seq: a RESTARTED follower resumes the stream from
+//     the last_seq its recovery restored. Local parked readers wake on
+//     the applied keys, and the lock-free optimistic read path serves
+//     eventually-consistent reads with the applied-seq watermark exposed
+//     for staleness checks.
 //   * A follower joining BEHIND the retained WAL window (the leader
 //     pruned segments past a snapshot barrier) is seeded with the raw
-//     snapshot file first, then tailed from barrier + 1 — the same
-//     exclusive-barrier snapshot + rotation machinery recovery uses.
+//     snapshot file first, then tailed from barrier + 1. It installs the
+//     file as its own snapshot at the barrier and restarts its log on a
+//     fresh segment at barrier + 1.
 //   * On leader death a follower is PROMOTED: the applier fences at the
 //     last contiguously applied record (contiguity is enforced on every
 //     batch, so the fence needs no scan), the local WAL rotates to a
-//     fresh segment, and the runtime resumes writable. The chaos sweep
-//     (tests/repl) kills leaders mid-stream across 64 seeds and proves
-//     the promoted follower's state equals the serial replay of its own
-//     log through the ISSUE 3 checker.
+//     fresh segment, and the runtime resumes writable; its first local
+//     commit takes fence + 1. The chaos sweep (tests/repl) kills leaders
+//     mid-stream across 64 seeds and proves the promoted follower's state
+//     equals the serial replay of the leader's log through the checker.
 //
 // Ordering/durability invariants (docs/IMPLEMENTATION.md §17 derives
 // them): ship-once-durable, apply-in-sequence-order (batches whose first
@@ -190,7 +189,6 @@ struct ReplFollowerStats {
   std::uint64_t reconnects = 0;        // attach() calls past the first
   std::uint64_t promotions = 0;
   std::uint64_t missing_retracts = 0;  // divergence signal (should be 0)
-  std::uint64_t redundant_asserts = 0;  // idempotent redelivery skips
 };
 
 /// Applies a leader's stream onto a local engine. One applier thread per
@@ -198,18 +196,14 @@ struct ReplFollowerStats {
 /// torn) resumes from the applied watermark via the Hello handshake.
 class ReplFollower {
  public:
-  /// `engine` applies batches; `persist` (may be null) re-logs them so
-  /// the follower is independently recoverable. The id -> record-handle
-  /// index starts with the records already resident in the engine's
-  /// dataspace (the follower's own recovery), since WAL retracts carry
-  /// only ids; the dataspace must be quiescent during construction.
-  /// `recovered_applied_seq` seeds the leader-seq watermark with what
-  /// recovery restored from the re-logged WAL's repl_mark records
-  /// (RecoveredState::repl_applied_seq) — the Hello handshake then
-  /// resumes the stream there instead of redelivering from zero.
+  /// `engine` applies batches; `persist` (may be null) logs their frames
+  /// so the follower is independently recoverable, and its last logged
+  /// seq is the watermark the Hello handshake resumes from. The id ->
+  /// record-handle index starts with the records already resident in the
+  /// engine's dataspace (the follower's own recovery), since WAL retracts
+  /// carry only ids; the dataspace must be quiescent during construction.
   ReplFollower(ReplOptions opts, Engine* engine,
-               persist::PersistManager* persist,
-               std::uint64_t recovered_applied_seq = 0);
+               persist::PersistManager* persist);
   ~ReplFollower();
   ReplFollower(const ReplFollower&) = delete;
   ReplFollower& operator=(const ReplFollower&) = delete;
@@ -280,7 +274,6 @@ class ReplFollower {
   std::atomic<std::uint64_t> attaches_{0};
   std::atomic<std::uint64_t> promotions_{0};
   std::atomic<std::uint64_t> missing_retracts_{0};
-  std::atomic<std::uint64_t> redundant_asserts_{0};
   std::atomic<bool> writable_{false};
 };
 

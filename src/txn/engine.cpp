@@ -151,9 +151,8 @@ void Engine::maybe_snapshot_after_commit() {
   });
 }
 
-Engine::ReplApplyOutcome Engine::apply_replicated(
-    const std::vector<persist::WalCommit>& batch,
-    IdIndex* id_index) {
+Engine::ReplApplyOutcome Engine::apply_replicated(std::span<ReplFrame> batch,
+                                                  IdIndex* id_index) {
   ReplApplyOutcome out;
   if (batch.empty()) return out;
   // Total exclusion, not per-commit 2PL: the leader's WAL order IS the
@@ -163,10 +162,9 @@ Engine::ReplApplyOutcome Engine::apply_replicated(
   // restore/erase require, and the returned keys are published after
   // release so parked local readers wake. Batching many commits per
   // section amortizes the all-shard acquisition.
-  std::uint64_t marked = 0;  // leader seq the trailing watermark covers
   exclusive([&]() -> std::vector<IndexKey> {
     std::vector<IndexKey> touched;
-    for (const persist::WalCommit& c : batch) {
+    for (ReplFrame& f : batch) {
       // Catch INSIDE the exclusion: ShardedEngine::exclusive does not
       // release its shard locks on unwind, and the applier thread has no
       // handler above it — an escaping throw would std::terminate the
@@ -174,7 +172,7 @@ Engine::ReplApplyOutcome Engine::apply_replicated(
       // fully applied one; the caller rejects the session and the
       // reconnect handshake resumes from the watermark.
       try {
-        for (const TupleId id : c.retracts) {
+        for (const TupleId id : f.commit.retracts) {
           const auto it = id_index->find(id);
           if (it == id_index->end()) {
             // The leader retracted an instance this follower never had (or
@@ -186,34 +184,17 @@ Engine::ReplApplyOutcome Engine::apply_replicated(
           touched.push_back(Dataspace::key_of(*it->second));
           space_.retract(*it->second);
           id_index->erase(it);
-          ++out.applied_effects;
         }
-        SmallVector<const Record*, 4> logged;  // the WAL re-log's asserts
-        logged.reserve(c.asserts.size());
-        for (const auto& [id, tuple] : c.asserts) {
-          const auto it = id_index->find(id);
-          if (it != id_index->end()) {
-            // Redelivery after a follower restart: the instance is already
-            // resident (same id ⇒ same tuple). Idempotent skip, counted
-            // apart from the divergence signal; the re-log encodes the
-            // resident record, so its bytes match a first delivery's.
-            ++out.redundant_asserts;
-            logged.push_back(it->second);
-            continue;
-          }
-          const Record& rec = space_.restore(tuple, id);
+        for (auto& [id, tuple] : f.commit.asserts) {
+          const Record& rec = space_.restore(std::move(tuple), id);
           id_index->emplace(id, &rec);
-          logged.push_back(&rec);
           touched.push_back(Dataspace::key_of(rec));
-          ++out.applied_effects;
         }
-        // Follower-side durability: re-log under the follower's OWN
-        // sequence numbers while the exclusion is held (same lock-held
-        // witness discipline as a local commit) — its private recovery
-        // stream, independent of the leader seqs it acknowledges.
-        if (persist_ != nullptr && (!c.retracts.empty() || !logged.empty())) {
-          persist_->log_commit(c.owner, c.fire, c.retracts,
-                               {logged.data(), logged.size()});
+        // Follower-side durability: the leader's frame, as it arrived,
+        // under the leader's sequence number, while the exclusion is held
+        // (the same lock-held witness discipline as a local commit).
+        if (persist_ != nullptr && !f.bytes.empty()) {
+          persist_->log_frame(f.commit.seq, f.bytes);
         }
       } catch (const std::exception& e) {
         out.ok = false;
@@ -221,28 +202,10 @@ Engine::ReplApplyOutcome Engine::apply_replicated(
         break;
       }
       ++out.applied_commits;
-      marked = c.seq;
     }
-    // Watermark marker: follows the re-logged batch in the same stream,
-    // so it is durable exactly when the data it covers is. One leader seq
-    // per re-logged frame keeps recovery's frame counting exact even when
-    // the marker itself is torn off the tail.
-    if (persist_ != nullptr && marked != 0) persist_->log_repl_mark(marked);
     return touched;
   });
-  if (persist_ != nullptr && marked != 0) {
-    // A due snapshot rotates the WAL and prunes the segments holding the
-    // marker just written — re-stamp it onto the fresh segment so the
-    // watermark survives the prune. Single-threaded on a follower (only
-    // the applier writes), so the append cannot interleave with commits.
-    const std::uint64_t barrier_before = persist_->last_snapshot_barrier();
-    maybe_snapshot_after_commit();
-    if (persist_->last_snapshot_barrier() != barrier_before) {
-      persist_->log_repl_mark(marked);
-    }
-  } else {
-    maybe_snapshot_after_commit();
-  }
+  maybe_snapshot_after_commit();
   return out;
 }
 

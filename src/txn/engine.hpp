@@ -15,7 +15,8 @@
 // consensus composite, a seed — goes through one routine, Engine::commit,
 // which also hands the commit to the WAL (encoded from the records it
 // just linked) and to the history checker. Only the follower's
-// apply_replicated, which restores by id, logs on its own.
+// apply_replicated, which restores by id, logs on its own: the leader's
+// frames, as they arrived.
 // Process-local actions (lets, spawns, control) are applied by the caller
 // (scheduler or host program) from the returned matches — they do not
 // touch the dataspace, so post-commit application preserves atomicity.
@@ -254,42 +255,39 @@ class Engine {
   [[nodiscard]] WaitSet::Interest interest_of(const Transaction& txn, Env& env) const;
 
   /// Replication apply path (src/repl): applies a batch of leader WAL
-  /// commits on a follower under total exclusion, preserving the leader's
-  /// restart-stable TupleIds via Dataspace::restore — the same decode and
-  /// id discipline recovery's replay() uses, so a promoted follower is
-  /// byte-equivalent to a recovered leader. `id_index` is the follower's
-  /// id → record-handle map (WAL retracts carry only ids and the dataspace
-  /// keeps no id index): every resident record, seeded from the
-  /// follower's recovered dataspace and maintained here across batches,
-  /// so a retract is one lookup and one unlink. Touched keys are published on release, so
-  /// parked local readers (the follower serves the optimistic read path)
-  /// wake exactly as they would on a local commit. When the follower's
-  /// own durability is armed, each commit is re-logged to its local WAL
-  /// inside the same exclusion (its private recovery stream — local
-  /// sequence numbers, not the leader's).
-  /// The apply is REDELIVERY-IDEMPOTENT: an assert whose id is already
-  /// resident is skipped (counted in redundant_asserts, not divergence) —
-  /// after a follower restart the leader may legitimately resend a suffix
-  /// the local recovery already covers. Any exception a commit raises is
-  /// caught INSIDE the exclusive section (ShardedEngine::exclusive does
-  /// not unwind its shard locks), recorded in `ok`/`error`, and stops the
-  /// batch after the last fully applied commit. When the follower's
-  /// durability is armed, a repl_mark watermark record follows the batch's
-  /// re-logs in the same stream (and is re-stamped onto the fresh segment
-  /// when the post-commit snapshot rotates the WAL), so the watermark is
-  /// exactly as durable as the data it covers.
+  /// frames on a follower under total exclusion, preserving the leader's
+  /// restart-stable TupleIds via Dataspace::restore (each tuple moves
+  /// into its record node) — the same id discipline recovery's replay()
+  /// uses, so a promoted follower is byte-equivalent to a recovered
+  /// leader. `id_index` is the follower's id → record-handle map (WAL
+  /// retracts carry only ids and the dataspace keeps no id index): every
+  /// resident record, seeded from the follower's recovered dataspace and
+  /// maintained here across batches, so a retract is one lookup and one
+  /// unlink. Touched keys are published on release, so parked local
+  /// readers (the follower serves the optimistic read path) wake exactly
+  /// as they would on a local commit. When the follower's own durability
+  /// is armed, each frame's bytes are logged to its local WAL inside the
+  /// same exclusion, under the leader's sequence number; a frame with no
+  /// bytes (a snapshot install's reset) is not logged. The caller applies
+  /// each frame once (its watermark filters redelivery). Any exception a
+  /// commit raises is caught INSIDE the exclusive section
+  /// (ShardedEngine::exclusive does not unwind its shard locks), recorded
+  /// in `ok`/`error`, and stops the batch after the last fully applied
+  /// commit.
+  struct ReplFrame {
+    std::string_view bytes;     // the frame as the leader logged it
+    persist::WalCommit commit;  // its decoded effect set
+  };
   struct ReplApplyOutcome {
     std::uint64_t applied_commits = 0;
-    std::uint64_t applied_effects = 0;    // retracts + asserts applied
     std::uint64_t missing_retracts = 0;   // divergence signal: id not found
-    std::uint64_t redundant_asserts = 0;  // redelivered, already resident
     bool ok = true;                       // false: a commit threw mid-batch
     std::string error;                    // what() of the failing commit
   };
   /// The follower's id -> record-handle index (see apply_replicated).
   using IdIndex = std::unordered_map<TupleId, const Record*>;
-  ReplApplyOutcome apply_replicated(
-      const std::vector<persist::WalCommit>& batch, IdIndex* id_index);
+  ReplApplyOutcome apply_replicated(std::span<ReplFrame> batch,
+                                    IdIndex* id_index);
 
  protected:
   /// Evaluates `txn`'s query against the dataspace, through `view`'s

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 
 #include "core/codec.hpp"
@@ -382,6 +383,62 @@ TEST_F(RecoveryTest, OldFormatSegmentIsPreservedByteForByte) {
   const std::string after((std::istreambuf_iterator<char>(in)),
                           std::istreambuf_iterator<char>());
   EXPECT_EQ(after, v1) << "v1 segment was modified on reopen";
+}
+
+TEST_F(RecoveryTest, OldFollowerDirectoryIsRefusedByteForByte) {
+  // A follower used to log each shipped batch under its own sequence
+  // numbers, followed by a kind-2 watermark frame. Its log cannot be
+  // mixed with the leader-numbered frames a follower writes now, so such
+  // a directory is refused as another format: nothing is truncated at the
+  // marker as if it were damage, and no file is touched.
+  fs::create_directories(dir);
+  const auto marker = [](std::uint64_t seq, std::uint64_t mark) {
+    std::string payload;
+    codec::put_u8(payload, 2);
+    codec::put_varint(payload, seq);
+    codec::put_varint(payload, mark);
+    std::string frame;
+    codec::put_u32(frame, static_cast<std::uint32_t>(payload.size()));
+    codec::put_u32(frame, codec::crc32(payload.data(), payload.size()));
+    return frame + payload;
+  };
+  {
+    persist::WalWriter w(dir, 64, 1, 1, /*origin_node=*/2);
+    ASSERT_EQ(w.append(1, 0, {}, persist::Asserts{{TupleId(1, 1), tup("job", 1)}}),
+              1u);
+    ASSERT_EQ(w.append_frame(2, marker(2, 1)), 2u);
+    ASSERT_EQ(w.append(1, 0, persist::Retracts{TupleId(1, 1)}, {}), 3u);
+    ASSERT_EQ(w.append_frame(4, marker(4, 2)), 4u);
+  }
+  const std::string segment = dir + "/" + persist::wal_segment_name(1);
+  const persist::WalReadResult seg = persist::read_wal_segment(segment);
+  EXPECT_TRUE(seg.format_mismatch);
+  EXPECT_FALSE(seg.corrupt);
+  EXPECT_TRUE(seg.commits.empty());
+
+  const auto files = [&] {
+    std::map<std::string, std::string> out;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      out[entry.path().filename().string()] =
+          std::string((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    }
+    return out;
+  };
+  const std::map<std::string, std::string> before = files();
+
+  const persist::RecoveredState state = persist::replay(dir);
+  EXPECT_TRUE(state.format_mismatch);
+  EXPECT_EQ(state.last_seq, 0u);
+  bool noted = false;
+  for (const std::string& n : state.notes) {
+    if (n.find("format mismatch") != std::string::npos) noted = true;
+  }
+  EXPECT_TRUE(noted) << "recovery must say WHY it stopped chaining";
+
+  EXPECT_THROW(Runtime rt(opts()), std::invalid_argument);
+  EXPECT_EQ(files(), before) << "a refused directory must not change";
 }
 
 }  // namespace

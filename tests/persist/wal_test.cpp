@@ -67,6 +67,49 @@ TEST_F(WalTest, AppendReadRoundtrip) {
   EXPECT_EQ(r.commits[2].retracts[0], TupleId(4, 8));
 }
 
+// A follower's log takes a leader's frames as they are: under group
+// commit and write-through alike, the segment holds the same bytes, and
+// a frame out of sequence kills the writer instead of leaving a gap. A
+// rotation to a later seq (a snapshot install) moves both watermarks.
+TEST_F(WalTest, AppendFrameLogsAnotherLogsBytesAsTheyAre) {
+  const std::string leader_dir = dir + "/leader";
+  fs::create_directories(leader_dir);
+  std::string leader_seg;
+  {
+    WalWriter w(leader_dir, 16, 1, 1);
+    leader_seg = w.segment_path();
+    w.append(3, 0, {}, Asserts{{TupleId(3, 7), tup("job", 1)}});
+    w.append(4, 9, Retracts{TupleId(3, 7)}, Asserts{{TupleId(4, 8), tup("done", 1)}});
+  }
+  const WalReadResult lr = read_wal_segment(leader_seg);
+  ASSERT_EQ(lr.commits.size(), 2u);
+  const std::string leader_bytes = slurp(leader_seg);
+  const std::string_view frames =
+      std::string_view(leader_bytes).substr(kWalHeaderSize);
+
+  for (const std::uint64_t fsync_every : {1u, 4u}) {
+    const std::string follower_dir =
+        dir + "/follower" + std::to_string(fsync_every);
+    fs::create_directories(follower_dir);
+    std::string seg;
+    {
+      WalWriter w(follower_dir, 16, 1, fsync_every);
+      seg = w.segment_path();
+      EXPECT_EQ(w.append_frame(1, frames.substr(0, lr.offsets[1] - kWalHeaderSize)), 1u);
+      EXPECT_EQ(w.append_frame(2, frames.substr(lr.offsets[1] - kWalHeaderSize)), 2u);
+    }
+    EXPECT_EQ(slurp(seg).substr(kWalHeaderSize), frames);
+
+    WalWriter w(follower_dir, 16, 3, fsync_every);
+    EXPECT_EQ(w.rotate(10), 2u);
+    EXPECT_EQ(w.last_appended(), 9u);
+    EXPECT_EQ(w.last_synced(), 9u);
+    EXPECT_EQ(w.segment_path(), follower_dir + "/" + wal_segment_name(10));
+    EXPECT_EQ(w.append_frame(11, frames), 0u) << "seq 10 comes first";
+    EXPECT_FALSE(w.alive());
+  }
+}
+
 TEST_F(WalTest, GroupCommitBatchesFsyncs) {
   WalWriter w(dir, 16, 1, /*fsync_every=*/8);
   for (int i = 0; i < 20; ++i) {

@@ -1,14 +1,17 @@
 // Leader/follower replication end-to-end on two Runtimes joined by a
 // loopback transport pair: streaming, restart-stable ids, the follower
 // write gate, snapshot-seeded catch-up behind a pruned WAL window,
-// follower recoverability from its own re-logged WAL, and promotion.
+// follower recoverability from its own WAL (which holds the leader's
+// frames byte for byte), and promotion.
 #include "repl/repl.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <map>
 #include <set>
 #include <thread>
 
@@ -198,6 +201,109 @@ TEST_F(ReplRuntimeTest, LateFollowerCatchesUpViaSnapshotBehindPrunedWal) {
   EXPECT_GE(leader.repl_leader()->stats().snapshots_sent, 1u);
 }
 
+// Every frame, keyed by seq, across the WAL segments in `dir`.
+std::map<std::uint64_t, std::string> frames_by_seq(const std::string& dir) {
+  std::map<std::uint64_t, std::string> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() != ".wal") continue;
+    const persist::WalReadResult seg =
+        persist::read_wal_segment(entry.path().string());
+    EXPECT_TRUE(seg.header_ok && !seg.corrupt) << entry.path();
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::string data((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    for (std::size_t i = 0; i < seg.commits.size(); ++i) {
+      const std::uint64_t end =
+          i + 1 < seg.offsets.size() ? seg.offsets[i + 1] : seg.valid_bytes;
+      const bool fresh =
+          out.emplace(seg.commits[i].seq,
+                      data.substr(seg.offsets[i], end - seg.offsets[i]))
+              .second;
+      EXPECT_TRUE(fresh) << "seq " << seg.commits[i].seq << " logged twice";
+    }
+  }
+  return out;
+}
+
+// One sequence space: a follower that caught up through a snapshot logs
+// the leader's frames as they are — an engine commit, a blind assert and
+// a consensus composite alike — holds the leader's snapshot file as its
+// own, recovers on its own, and once promoted continues at fence + 1.
+TEST_F(ReplRuntimeTest, FollowerLogHoldsTheLeadersFramesByteForByte) {
+  auto leader = std::make_unique<Runtime>(leader_opts());
+  for (int i = 0; i < 8; ++i) leader->seed(tup("job", i));
+  ASSERT_TRUE(leader->execute(consume_job(), env).success);
+  ASSERT_TRUE(leader->snapshot());
+  const std::uint64_t barrier = leader->persist()->last_snapshot_barrier();
+  ASSERT_EQ(barrier, 9u);
+
+  // Past the barrier: an engine commit, a blind assert, a composite.
+  ASSERT_TRUE(leader->execute(consume_job(), env).success);
+  const Transaction blind = prep(TxnBuilder().where(lit(true)).assert_tuple(
+      {lit(Value::atom("log")), lit(1)}));
+  ASSERT_TRUE(leader->execute(blind, env).success);
+  leader->seed(tup("shared", 0));
+  ProcessDef member;
+  member.name = "Member";
+  member.params = {"k"};
+  member.body = seq({stmt(TxnBuilder(TxnType::Consensus)
+                              .match(pat({A("shared"), W()}))
+                              .assert_tuple({lit(Value::atom("arrived")),
+                                             evar("k")})
+                              .build())});
+  leader->define(std::move(member));
+  leader->spawn("Member", {Value(1)});
+  leader->spawn("Member", {Value(2)});
+  ASSERT_TRUE(leader->run().clean());
+  ASSERT_EQ(leader->consensus().fires(), 1u);
+
+  Runtime follower(follower_opts());
+  connect(*leader, follower);
+  ASSERT_TRUE(wait_until([&] { return converged(*leader, follower); }));
+  expect_same_state(*leader, follower);
+  EXPECT_EQ(follower.repl_follower()->stats().snapshots_loaded, 1u);
+
+  const std::map<std::uint64_t, std::string> ours = frames_by_seq(leader_dir);
+  const std::map<std::uint64_t, std::string> theirs =
+      frames_by_seq(follower_dir);
+  ASSERT_EQ(ours.size(), 4u) << "commit, blind assert, seed, composite";
+  EXPECT_EQ(ours.begin()->first, barrier + 1);
+  EXPECT_TRUE(theirs == ours) << "the follower's frames differ from the leader's";
+  bool composite = false;
+  for (const persist::WalCommit& c :
+       persist::read_wal_segment(leader_dir + "/" +
+                                 persist::wal_segment_name(barrier + 1))
+           .commits) {
+    composite = composite || c.fire != 0;
+  }
+  EXPECT_TRUE(composite) << "a consensus composite is among the frames";
+
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string snap = "/" + persist::snapshot_file_name(barrier);
+  EXPECT_EQ(slurp(follower_dir + snap), slurp(leader_dir + snap))
+      << "the follower installs the leader's snapshot file as it arrived";
+  const persist::RecoveredState state = persist::replay(follower_dir);
+  EXPECT_TRUE(persist::verify_recovery(state).ok());
+  EXPECT_EQ(state.snapshot_barrier, barrier);
+  EXPECT_EQ(state.last_seq, leader->persist()->shippable_seq());
+
+  const std::uint64_t last = state.last_seq;
+  leader.reset();
+  const auto promotion = follower.promote_to_leader();
+  EXPECT_EQ(promotion.fence, last);
+  follower.seed(tup("job", 100));
+  EXPECT_EQ(follower.persist()->stats().last_seq, last + 1)
+      << "the first local commit after promotion takes fence + 1";
+  const persist::RecoveredState promoted = persist::replay(follower_dir);
+  EXPECT_TRUE(persist::verify_recovery(promoted).ok());
+  ASSERT_FALSE(promoted.commits.empty());
+  EXPECT_EQ(promoted.commits.back().seq, last + 1);
+}
+
 TEST_F(ReplRuntimeTest, FollowerIsIndependentlyRecoverable) {
   std::vector<Record> streamed;
   {
@@ -211,7 +317,7 @@ TEST_F(ReplRuntimeTest, FollowerIsIndependentlyRecoverable) {
     ASSERT_TRUE(wait_until([&] { return converged(leader, follower); }));
     streamed = follower.space().snapshot();
   }
-  // Both runtimes are gone. The follower re-logged the stream to its own
+  // Both runtimes are gone. The follower logged the stream to its own
   // WAL, so a plain durable reopen reconstructs the replicated state.
   const persist::RecoveredState state = persist::replay(follower_dir);
   EXPECT_TRUE(persist::verify_recovery(state).ok());
@@ -242,11 +348,11 @@ TEST_F(ReplRuntimeTest, RestartedFollowerReattachesAtDurableWatermark) {
 
   for (int i = 10; i < 14; ++i) leader.seed(tup("job", i));
 
-  // Reopen the follower from its own directory. The re-logged repl_mark
-  // records prove how far the old incarnation durably applied, so the
-  // reattach Hello resumes the stream instead of replaying from seq 1 —
-  // and even a conservative (under-reported) watermark is safe because
-  // redelivered asserts of resident tuples are skipped, not fatal.
+  // Reopen the follower from its own directory. Its log holds the
+  // leader's frames under the leader's sequence numbers, so the last seq
+  // recovery restores is exactly how far the old incarnation durably
+  // applied, and the reattach Hello resumes the stream there instead of
+  // replaying from seq 1.
   Runtime follower(follower_opts(/*with_persist=*/true));
   EXPECT_EQ(follower.repl_follower()->applied_seq(), watermark_at_death)
       << "recovery must reconstruct the applied watermark from the WAL";
@@ -262,7 +368,7 @@ TEST_F(ReplRuntimeTest, RestartedFollowerReattachesAtDurableWatermark) {
   // And the restarted incarnation's own WAL still recovers cleanly.
   const persist::RecoveredState state = persist::replay(follower_dir);
   EXPECT_TRUE(persist::verify_recovery(state).ok());
-  EXPECT_EQ(state.repl_applied_seq, fs.applied_seq);
+  EXPECT_EQ(state.last_seq, fs.applied_seq);
 }
 
 TEST_F(ReplRuntimeTest, PromotionFencesRotatesAndResumesWritable) {

@@ -288,41 +288,32 @@ TEST_P(EngineTest, StatsTrackAttemptsCommitsFailures) {
   EXPECT_EQ(engine->stats().failures(), 1u);
 }
 
-TEST_P(EngineTest, ReplicatedApplyIsRedeliveryIdempotent) {
-  // A follower that restarts with a conservative watermark sees the same
-  // WAL window twice. The second pass must be a no-op on state — asserts
-  // of resident ids skip (counted, not fatal), nothing throws.
-  persist::WalCommit c1;
-  c1.seq = 1;
-  c1.asserts = {{TupleId(1, 1), tup("job", 1)}, {TupleId(1, 2), tup("job", 2)}};
-  persist::WalCommit c2;
-  c2.seq = 2;
-  c2.retracts = {TupleId(1, 1)};
-  c2.asserts = {{TupleId(1, 3), tup("done", 1)}};
-  const std::vector<persist::WalCommit> batch = {c1, c2};
+TEST_P(EngineTest, ReplicatedApplyRestoresIdsAndRetractsThroughTheIndex) {
+  // A follower applies leader frames by id: asserts restore the leader's
+  // TupleIds, retracts find their record through the id index, and a
+  // retract of an id the follower never had is counted as divergence.
+  std::vector<Engine::ReplFrame> batch(3);
+  batch[0].commit.seq = 1;
+  batch[0].commit.asserts = {{TupleId(1, 1), tup("job", 1)},
+                             {TupleId(1, 2), tup("job", 2)}};
+  batch[1].commit.seq = 2;
+  batch[1].commit.retracts = {TupleId(1, 1)};
+  batch[1].commit.asserts = {{TupleId(1, 3), tup("done", 1)}};
+  batch[2].commit.seq = 3;
+  batch[2].commit.retracts = {TupleId(7, 7)};
 
   Engine::IdIndex ids;
-  Engine::ReplApplyOutcome first = engine->apply_replicated(batch, &ids);
-  EXPECT_TRUE(first.ok);
-  EXPECT_EQ(first.applied_commits, 2u);
-  EXPECT_EQ(first.redundant_asserts, 0u);
-  const std::vector<Record> before = space.snapshot();
+  const Engine::ReplApplyOutcome out = engine->apply_replicated(batch, &ids);
+  EXPECT_TRUE(out.ok) << out.error;
+  EXPECT_EQ(out.applied_commits, 3u);
+  EXPECT_EQ(out.missing_retracts, 1u) << "id 7:7 was never resident";
 
-  // Full-window redelivery: c1's asserts are skipped EXCEPT the id c2
-  // already retracted, which gets re-asserted and then re-retracted by
-  // the replayed c2 — the window as a whole reconverges exactly.
-  Engine::ReplApplyOutcome again = engine->apply_replicated(batch, &ids);
-  EXPECT_TRUE(again.ok);
-  EXPECT_EQ(again.applied_commits, 2u);
-  EXPECT_EQ(again.missing_retracts, 0u);
-  EXPECT_EQ(again.redundant_asserts, 2u) << "job2 and done1 were resident";
-
-  const std::vector<Record> after = space.snapshot();
-  ASSERT_EQ(after.size(), before.size());
-  for (std::size_t i = 0; i < after.size(); ++i) {
-    EXPECT_EQ(after[i].id, before[i].id);
-    EXPECT_EQ(after[i].tuple, before[i].tuple);
-  }
+  EXPECT_EQ(space.size(), 2u);
+  EXPECT_EQ(space.count(tup("job", 1)), 0u);
+  ASSERT_EQ(ids.size(), 2u);
+  EXPECT_EQ(ids.at(TupleId(1, 2))->tuple, tup("job", 2));
+  EXPECT_EQ(ids.at(TupleId(1, 3))->tuple, tup("done", 1));
+  EXPECT_EQ(ids.count(TupleId(1, 1)), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, EngineTest,
